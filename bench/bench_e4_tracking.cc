@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "bench_util.h"
 #include "detectors/player_tracker.h"
@@ -35,17 +36,25 @@ bool LegacyMatches(const vision::GaussianColorModel& m, const media::Rgb& p,
   return true;
 }
 
+/// One court shot, no cutaways: the input of the per-frame cost
+/// measurements below.
+const media::Broadcast& SingleShotBroadcast() {
+  static const media::Broadcast* broadcast = [] {
+    auto config = bench::DefaultBroadcast();
+    config.num_points = 1;
+    config.include_cutaways = false;
+    return new media::Broadcast(
+        media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue());
+  }();
+  return *broadcast;
+}
+
 /// Foreground-mask pixel-kernel throughput (DESIGN.md §4d): the seed's
 /// FromPredicate + per-pixel double Matches vs FromOutsideColorBoxes with
 /// the kernel scalar tier vs the dispatched SIMD tier, single-thread p50.
 void PrintForegroundKernelThroughput() {
   bench::PrintHeader("E4", "foreground-mask pixel-kernel throughput (1 thread)");
-  auto config = bench::DefaultBroadcast();
-  config.num_points = 1;
-  config.include_cutaways = false;
-  auto broadcast =
-      media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue();
-  media::Frame frame = broadcast.video->GetFrame(0).TakeValue();
+  media::Frame frame = SingleShotBroadcast().video->GetFrame(0).TakeValue();
   auto court = detectors::EstimateCourtModel(frame).TakeValue();
   const RectI roi{0, 0, frame.width(), frame.height()};
   const int64_t pixels = frame.PixelCount();
@@ -150,12 +159,38 @@ void RunQualityTable() {
   bench::PrintRule();
 }
 
+/// Per-frame tracker cost against the predictive search margin, the
+/// window-size ablation of DESIGN.md §5. Segmentation touches only the
+/// search window (§4d), so the cost grows with the window area.
+/// Single-thread p50 over the whole shot.
+void PrintTrackerCost() {
+  bench::PrintHeader("E4", "player tracker cost per frame (1 thread)");
+  const media::Broadcast& broadcast = SingleShotBroadcast();
+  const FrameInterval shot = broadcast.truth.shots.front().range;
+  constexpr int kReps = 9;
+  std::printf("%dx%d, %lld-frame court shot, p50 of %d reps\n",
+              broadcast.video->width(), broadcast.video->height(),
+              static_cast<long long>(shot.Length()), kReps);
+  std::printf("%-14s %12s\n", "search_margin", "ms/frame");
+  for (int margin : {8, 12, 32}) {
+    detectors::PlayerTrackerConfig config;
+    config.search_margin = margin;
+    detectors::PlayerTracker tracker(config);
+    const double ms = bench::MedianMs(kReps, [&] {
+      auto result = tracker.Track(*broadcast.video, shot);
+      benchmark::DoNotOptimize(result);
+    });
+    const double per_frame = ms / static_cast<double>(shot.Length());
+    std::printf("%-14d %12.4f\n", margin, per_frame);
+    const std::string metric =
+        "track_ms_per_frame_m" + std::to_string(margin);
+    bench::PrintJsonMetric("e4_tracking", metric.c_str(), per_frame);
+  }
+  bench::PrintRule();
+}
+
 void BM_TrackShot(benchmark::State& state) {
-  auto config = bench::DefaultBroadcast();
-  config.num_points = 1;
-  config.include_cutaways = false;
-  auto broadcast =
-      media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue();
+  const media::Broadcast& broadcast = SingleShotBroadcast();
   detectors::PlayerTrackerConfig tracker_config;
   tracker_config.search_margin = static_cast<int>(state.range(0));
   detectors::PlayerTracker tracker(tracker_config);
@@ -171,12 +206,7 @@ void BM_TrackShot(benchmark::State& state) {
 BENCHMARK(BM_TrackShot)->Arg(8)->Arg(12)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_CourtModelEstimate(benchmark::State& state) {
-  auto config = bench::DefaultBroadcast();
-  config.num_points = 1;
-  config.include_cutaways = false;
-  auto broadcast =
-      media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue();
-  media::Frame frame = broadcast.video->GetFrame(0).TakeValue();
+  media::Frame frame = SingleShotBroadcast().video->GetFrame(0).TakeValue();
   for (auto _ : state) {
     auto model = detectors::EstimateCourtModel(frame);
     benchmark::DoNotOptimize(model);
@@ -190,6 +220,7 @@ int main(int argc, char** argv) {
   cobra::bench::OpenJsonArtifact("BENCH_E4.json");
   RunQualityTable();
   PrintForegroundKernelThroughput();
+  PrintTrackerCost();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

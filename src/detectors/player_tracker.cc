@@ -29,7 +29,8 @@ struct BackgroundBoxes {
 
 /// Segments foreground regions within `roi` and returns components sorted
 /// by decreasing area. Foreground = neither court surface, nor out-of-court
-/// background, nor a court line.
+/// background, nor a court line. The mask stores `roi` only, so the opening
+/// and the labeling cost O(roi area), not O(frame area).
 std::vector<vision::ConnectedComponent> SegmentForeground(
     const media::Frame& frame, const RectI& roi, const BackgroundBoxes& bg,
     int64_t min_area) {
@@ -207,7 +208,6 @@ Result<TrackingResult> PlayerTracker::Track(const media::VideoSource& video,
       }
       ps.track.points.push_back(tp);
     }
-    ++result.frames_processed;
   }
 
   for (PlayerState& ps : players) {

@@ -14,20 +14,29 @@
 
 namespace cobra::vision {
 
-/// A width x height binary raster.
+/// A width x height binary raster. Only the rectangle `rect()` that can
+/// hold set pixels is stored: the clipped ROI for the From* builders, the
+/// whole frame for BinaryMask(w, h), and correspondingly shrunk or grown
+/// rectangles for Erode and Dilate. Every pixel outside it reads 0, so all
+/// results stay in frame coordinates while the work scales with the ROI.
 class BinaryMask {
  public:
   BinaryMask() = default;
   BinaryMask(int width, int height)
-      : width_(width),
-        height_(height),
-        bits_(static_cast<size_t>(width) * static_cast<size_t>(height), 0) {}
+      : BinaryMask(width, height, RectI{0, 0, width, height}) {}
 
   int width() const { return width_; }
   int height() const { return height_; }
   bool Empty() const { return width_ == 0 || height_ == 0; }
 
-  bool At(int x, int y) const { return bits_[Index(x, y)] != 0; }
+  /// The stored rectangle, within the frame; empty when nothing can be set.
+  const RectI& rect() const { return rect_; }
+
+  /// (x, y) may be any frame pixel.
+  bool At(int x, int y) const {
+    return rect_.Contains(x, y) && bits_[Index(x, y)] != 0;
+  }
+  /// (x, y) must lie inside rect() (the whole frame for BinaryMask(w, h)).
   void Set(int x, int y, bool v) { bits_[Index(x, y)] = v ? 1 : 0; }
 
   /// Number of set pixels.
@@ -69,14 +78,23 @@ class BinaryMask {
                                           size_t num_boxes);
 
  private:
+  /// A zeroed mask storing `rect` (already clipped to the frame).
+  BinaryMask(int width, int height, const RectI& rect)
+      : width_(width),
+        height_(height),
+        rect_(rect),
+        bits_(static_cast<size_t>(rect.Area()), 0) {}
+
   size_t Index(int x, int y) const {
-    return static_cast<size_t>(y) * static_cast<size_t>(width_) +
-           static_cast<size_t>(x);
+    return static_cast<size_t>(y - rect_.y) *
+               static_cast<size_t>(rect_.width) +
+           static_cast<size_t>(x - rect_.x);
   }
 
   int width_ = 0;
   int height_ = 0;
-  std::vector<uint8_t> bits_;
+  RectI rect_;
+  std::vector<uint8_t> bits_;  ///< rect_ only, row-major
 };
 
 /// A 4-connected component of set pixels.

@@ -1,7 +1,6 @@
 #include "vision/moments.h"
 
 #include <cmath>
-#include <map>
 
 namespace cobra::vision {
 
@@ -64,27 +63,26 @@ ShapeFeatures ComputeShapeFeatures(const media::Frame& frame,
   out.eccentricity = m.Eccentricity();
 
   // Dominant color: modal 32-level-quantized color among member pixels.
-  std::map<uint32_t, int> counts;
+  // Bins are indexed (r/32, g/32, b/32) in row-major order and scanned
+  // upward, so a tie goes to the smallest quantized color.
+  int counts[8 * 8 * 8] = {};
   for (const auto& [x, y] : component.pixels) {
     const media::Rgb& p = frame.At(x, y);
-    uint32_t key = (static_cast<uint32_t>(p.r / 32) << 16) |
-                   (static_cast<uint32_t>(p.g / 32) << 8) |
-                   static_cast<uint32_t>(p.b / 32);
-    counts[key]++;
+    ++counts[(p.r / 32) * 64 + (p.g / 32) * 8 + p.b / 32];
   }
-  uint32_t best_key = 0;
-  int best = -1;
-  for (const auto& [key, count] : counts) {
-    if (count > best) {
-      best = count;
-      best_key = key;
+  int best_bin = -1;
+  int best = 0;
+  for (int bin = 0; bin < 8 * 8 * 8; ++bin) {
+    if (counts[bin] > best) {
+      best = counts[bin];
+      best_bin = bin;
     }
   }
-  if (best >= 0) {
+  if (best_bin >= 0) {
     out.dominant_color =
-        media::Rgb{static_cast<uint8_t>(((best_key >> 16) & 0xFF) * 32 + 16),
-                   static_cast<uint8_t>(((best_key >> 8) & 0xFF) * 32 + 16),
-                   static_cast<uint8_t>((best_key & 0xFF) * 32 + 16)};
+        media::Rgb{static_cast<uint8_t>((best_bin / 64) * 32 + 16),
+                   static_cast<uint8_t>((best_bin / 8 % 8) * 32 + 16),
+                   static_cast<uint8_t>((best_bin % 8) * 32 + 16)};
   }
   return out;
 }

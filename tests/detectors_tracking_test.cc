@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "detectors/court_model.h"
 #include "detectors/event_rules.h"
 #include "detectors/hmm.h"
 #include "detectors/hmm_events.h"
 #include "detectors/player_tracker.h"
+#include "media/block_codec.h"
 #include "media/tennis_synthesizer.h"
 #include "util/stats.h"
 
@@ -150,6 +152,147 @@ TEST(PlayerTrackerTest, FailsGracefullyOnNonCourtShot) {
     }
   }
   GTEST_SKIP() << "no non-court shot in this broadcast";
+}
+
+// ---------- Pinned tracker output ----------
+
+// FNV-1a over the bytes of each value added.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(T value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) state_ = (state_ ^ b) * 0x100000001b3ull;
+  }
+  void Add(const RectI& r) {
+    Add(r.x);
+    Add(r.y);
+    Add(r.width);
+    Add(r.height);
+  }
+  void Add(const PointD& p) {
+    Add(p.x);
+    Add(p.y);
+  }
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+// The end-to-end archive's broadcast shape (128x96, three points with
+// cutaways) at a fixed seed.
+TennisSynthConfig ArchiveShapeConfig() {
+  TennisSynthConfig config;
+  config.width = 128;
+  config.height = 96;
+  config.num_points = 3;
+  config.min_court_frames = 120;
+  config.max_court_frames = 140;
+  config.min_cutaway_frames = 28;
+  config.max_cutaway_frames = 36;
+  config.net_approach_prob = 0.7;
+  config.seed = 10;
+  return config;
+}
+
+struct TrackDigest {
+  uint64_t digest = 0;
+  int64_t points = 0;
+  int64_t coasting = 0;  ///< predicted_only points
+};
+
+// Digests every field of every track point of every court shot: frame,
+// center, bbox, predicted_only and the shape features. The orientation
+// comes from the C library's atan2, which is not correctly rounded on every
+// platform, so it enters in nanoradians; everything else enters bit for bit.
+TrackDigest DigestTracking(const media::VideoSource& video,
+                           const Broadcast& b,
+                           const PlayerTrackerConfig& config) {
+  PlayerTracker tracker(config);
+  Fnv1a h;
+  TrackDigest out;
+  for (const FrameInterval& shot : CourtShots(b)) {
+    auto result = tracker.Track(video, shot);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) continue;
+    h.Add(result->frames_processed);
+    h.Add(result->tracks.size());
+    for (const PlayerTrack& track : result->tracks) {
+      h.Add(track.player_id);
+      h.Add(track.points.size());
+      for (const TrackPoint& p : track.points) {
+        h.Add(p.frame);
+        h.Add(p.center);
+        h.Add(p.bbox);
+        h.Add(static_cast<uint8_t>(p.predicted_only));
+        h.Add(p.features.area);
+        h.Add(p.features.mass_center);
+        h.Add(p.features.bounding_box);
+        h.Add(static_cast<int64_t>(std::llround(p.features.orientation * 1e9)));
+        h.Add(p.features.eccentricity);
+        h.Add(p.features.dominant_color.r);
+        h.Add(p.features.dominant_color.g);
+        h.Add(p.features.dominant_color.b);
+        ++out.points;
+        if (p.predicted_only) ++out.coasting;
+      }
+    }
+  }
+  out.digest = h.value();
+  return out;
+}
+
+// Tracker output on raw and coded sources must not drift. The pinned digests
+// come from the full-frame segmentation (mask, opening and labeling over the
+// whole frame), which the ROI-local one must reproduce exactly.
+TEST(PlayerTrackerTest, OutputMatchesPinnedDigest) {
+  auto synthesized =
+      TennisBroadcastSynthesizer(ArchiveShapeConfig()).Synthesize();
+  ASSERT_TRUE(synthesized.ok()) << synthesized.status().ToString();
+  const Broadcast& b = *synthesized;
+  media::CodecConfig codec;
+  codec.motion_search_range = 3;
+  auto encoded = media::BlockVideoEncoder::Encode(*b.video, codec);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  const media::CodedVideoSource coded(std::move(encoded).TakeValue());
+
+  PlayerTrackerConfig narrow;
+  narrow.search_margin = 3;
+  narrow.max_lost_frames = 1;
+  PlayerTrackerConfig permissive;
+  permissive.min_player_area = 3;
+  permissive.foreground_k = 1.5;
+  struct Case {
+    const char* name;
+    PlayerTrackerConfig config;
+    uint64_t raw;
+    uint64_t coded;
+    bool coasts;
+  };
+  const Case cases[] = {
+      {"default", PlayerTrackerConfig{}, 0x7111d44e15e66471ull,
+       0x70c6af0db2ae8243ull, false},
+      // A 3-pixel margin loses the player on the coded source at this seed,
+      // so the track coasts and re-segments its half of the court ROI.
+      {"margin3_lost1", narrow, 0x92f85f0531421e17ull, 0x478d30b106f4deedull,
+       true},
+      {"area3_k1.5", permissive, 0xef694add4470a583ull, 0x13f4cf6e76e9b808ull,
+       false},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TrackDigest raw = DigestTracking(*b.video, b, c.config);
+    const TrackDigest cod = DigestTracking(coded, b, c.config);
+    EXPECT_EQ(raw.digest, c.raw) << std::hex << raw.digest;
+    EXPECT_EQ(cod.digest, c.coded) << std::hex << cod.digest;
+    EXPECT_EQ(raw.points, cod.points);
+    if (c.coasts) {
+      EXPECT_GT(cod.coasting, 0);
+    }
+  }
 }
 
 TEST(PlayerTrackTest, CenterAtFindsFrames) {

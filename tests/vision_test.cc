@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "media/frame.h"
+#include "util/rng.h"
 #include "vision/color_model.h"
 #include "vision/gray_stats.h"
 #include "vision/histogram.h"
+#include "vision/kernels.h"
 #include "vision/mask.h"
 #include "vision/moments.h"
 
@@ -191,6 +200,281 @@ TEST(ComponentsTest, DiagonalIsNotConnected) {
   m.Set(0, 0, true);
   m.Set(1, 1, true);
   EXPECT_EQ(LabelComponents(m).size(), 2u);  // 4-connectivity
+}
+
+// ---------- ROI-local segmentation vs the full-frame oracle ----------
+
+// The full-frame composition the ROI-local BinaryMask must reproduce: a
+// frame-sized byte raster with 3x3 erosion, 3x3 dilation and 4-connected
+// BFS labeling that each visit every pixel of the frame.
+struct FullMask {
+  int width = 0;
+  int height = 0;
+  std::vector<uint8_t> bits;
+
+  FullMask(int w, int h)
+      : width(w), height(h), bits(static_cast<size_t>(w) * h, 0) {}
+  bool At(int x, int y) const {
+    return x >= 0 && x < width && y >= 0 && y < height &&
+           bits[static_cast<size_t>(y) * width + x] != 0;
+  }
+  void Set(int x, int y, bool v) {
+    bits[static_cast<size_t>(y) * width + x] = v ? 1 : 0;
+  }
+};
+
+FullMask OracleMask(const Frame& frame, const RectI& roi,
+                    const std::function<bool(const Rgb&)>& predicate) {
+  FullMask out(frame.width(), frame.height());
+  const RectI r = roi.ClipTo(frame.width(), frame.height());
+  for (int y = 0; y < frame.height(); ++y) {
+    for (int x = 0; x < frame.width(); ++x) {
+      out.Set(x, y, r.Contains(x, y) && predicate(frame.At(x, y)));
+    }
+  }
+  return out;
+}
+
+FullMask OracleErode(const FullMask& m) {
+  FullMask out(m.width, m.height);
+  for (int y = 0; y < m.height; ++y) {
+    for (int x = 0; x < m.width; ++x) {
+      bool all = true;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) all = all && m.At(x + dx, y + dy);
+      }
+      out.Set(x, y, all);
+    }
+  }
+  return out;
+}
+
+FullMask OracleDilate(const FullMask& m) {
+  FullMask out(m.width, m.height);
+  for (int y = 0; y < m.height; ++y) {
+    for (int x = 0; x < m.width; ++x) {
+      bool any = false;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) any = any || m.At(x + dx, y + dy);
+      }
+      out.Set(x, y, any);
+    }
+  }
+  return out;
+}
+
+std::vector<ConnectedComponent> OracleLabel(const FullMask& m,
+                                            int64_t min_area) {
+  std::vector<ConnectedComponent> out;
+  std::vector<int> labels(m.bits.size(), 0);
+  auto idx = [&](int x, int y) { return static_cast<size_t>(y) * m.width + x; };
+  int next_label = 0;
+  for (int y = 0; y < m.height; ++y) {
+    for (int x = 0; x < m.width; ++x) {
+      if (!m.At(x, y) || labels[idx(x, y)] != 0) continue;
+      ConnectedComponent cc;
+      cc.label = ++next_label;
+      double sum_x = 0, sum_y = 0;
+      std::deque<std::pair<int, int>> queue{{x, y}};
+      labels[idx(x, y)] = next_label;
+      RectI box{x, y, 1, 1};
+      while (!queue.empty()) {
+        auto [cx, cy] = queue.front();
+        queue.pop_front();
+        cc.pixels.emplace_back(cx, cy);
+        cc.area++;
+        sum_x += cx;
+        sum_y += cy;
+        box = box.Union(RectI{cx, cy, 1, 1});
+        constexpr int kDx[] = {1, -1, 0, 0};
+        constexpr int kDy[] = {0, 0, 1, -1};
+        for (int d = 0; d < 4; ++d) {
+          int nx = cx + kDx[d], ny = cy + kDy[d];
+          if (m.At(nx, ny) && labels[idx(nx, ny)] == 0) {
+            labels[idx(nx, ny)] = next_label;
+            queue.emplace_back(nx, ny);
+          }
+        }
+      }
+      cc.bbox = box;
+      cc.centroid = PointD{sum_x / static_cast<double>(cc.area),
+                           sum_y / static_cast<double>(cc.area)};
+      if (cc.area >= min_area) out.push_back(std::move(cc));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ConnectedComponent& a, const ConnectedComponent& b) {
+              return a.area > b.area;
+            });
+  return out;
+}
+
+void ExpectSamePixels(const BinaryMask& got, const FullMask& want,
+                      const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.width(), want.width);
+  ASSERT_EQ(got.height(), want.height);
+  int64_t count = 0;
+  int min_x = want.width, min_y = want.height, max_x = -1, max_y = -1;
+  for (int y = 0; y < want.height; ++y) {
+    for (int x = 0; x < want.width; ++x) {
+      ASSERT_EQ(got.At(x, y), want.At(x, y)) << x << "," << y;
+      if (!want.At(x, y)) continue;
+      ++count;
+      min_x = std::min(min_x, x);
+      min_y = std::min(min_y, y);
+      max_x = std::max(max_x, x);
+      max_y = std::max(max_y, y);
+    }
+  }
+  const RectI bbox = count == 0 ? RectI{}
+                                 : RectI{min_x, min_y, max_x - min_x + 1,
+                                         max_y - min_y + 1};
+  EXPECT_EQ(got.Count(), count);
+  EXPECT_EQ(got.BoundingBox(), bbox);
+}
+
+void ExpectSameComponents(const std::vector<ConnectedComponent>& got,
+                          const std::vector<ConnectedComponent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("component " + std::to_string(i));
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].area, want[i].area);
+    EXPECT_EQ(got[i].bbox, want[i].bbox);
+    EXPECT_EQ(got[i].pixels, want[i].pixels);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].centroid.x),
+              std::bit_cast<uint64_t>(want[i].centroid.x));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].centroid.y),
+              std::bit_cast<uint64_t>(want[i].centroid.y));
+  }
+}
+
+Rgb Jitter(const Rgb& c, Rng& rng) {
+  auto ch = [&](uint8_t v) {
+    return static_cast<uint8_t>(
+        std::clamp(static_cast<int>(v) + static_cast<int>(rng.NextInt(-6, 6)),
+                   0, 255));
+  };
+  return Rgb{ch(c.r), ch(c.g), ch(c.b)};
+}
+
+// A background with palette-colored rectangles (players, lines, blobs) and
+// speckle, every pixel jittered so the box edges cut some of them.
+Frame RandomSceneFrame(int w, int h, const Rgb* palette, int palette_size,
+                       Rng& rng) {
+  Frame frame(w, h, palette[0]);
+  const int rects = 2 + static_cast<int>(rng.NextBounded(10));
+  for (int i = 0; i < rects; ++i) {
+    const int rw = 1 + static_cast<int>(rng.NextBounded(std::max(1, w / 3)));
+    const int rh = 1 + static_cast<int>(rng.NextBounded(std::max(1, h / 3)));
+    frame.FillRect(RectI{static_cast<int>(rng.NextInt(-2, w)),
+                         static_cast<int>(rng.NextInt(-2, h)), rw, rh},
+                   palette[rng.NextBounded(palette_size)]);
+  }
+  for (int64_t i = 0; i < frame.PixelCount() / 16; ++i) {
+    frame.Set(static_cast<int>(rng.NextBounded(w)),
+              static_cast<int>(rng.NextBounded(h)),
+              palette[rng.NextBounded(palette_size)]);
+  }
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) frame.At(x, y) = Jitter(frame.At(x, y), rng);
+  }
+  return frame;
+}
+
+kernels::ColorBox BoxAround(const Rgb& c, int radius) {
+  auto lo = [&](uint8_t v) {
+    return static_cast<uint8_t>(std::max(0, v - radius));
+  };
+  auto hi = [&](uint8_t v) {
+    return static_cast<uint8_t>(std::min(255, v + radius));
+  };
+  return kernels::ColorBox{{lo(c.r), lo(c.g), lo(c.b)},
+                           {hi(c.r), hi(c.g), hi(c.b)}};
+}
+
+// Inside, clipped on each side, 1 px wide or high, empty, and full-frame.
+std::vector<RectI> TestRois(int w, int h, Rng& rng) {
+  auto in = [&](int extent) {
+    return static_cast<int>(rng.NextBounded(static_cast<uint64_t>(extent)));
+  };
+  const int rw = 1 + in(w), rh = 1 + in(h);
+  return {
+      RectI{in(w), in(h), rw, rh},                                  // random
+      RectI{w / 4, h / 4, std::max(1, w / 2), std::max(1, h / 2)},  // inside
+      RectI{-3, in(h), rw + 3, rh},                     // clipped left
+      RectI{w - rw / 2 - 1, in(h), rw + 4, rh},         // clipped right
+      RectI{in(w), -2, rw, rh + 2},                     // clipped top
+      RectI{in(w), h - rh / 2 - 1, rw, rh + 5},         // clipped bottom
+      RectI{in(w), 0, 1, h},                            // 1 px wide
+      RectI{0, in(h), w, 1},                            // 1 px high
+      RectI{in(w), in(h), 0, rh},                       // empty
+      RectI{w + 1, h + 1, 5, 5},                        // outside the frame
+      RectI{0, 0, w, h},                                // full frame
+      RectI{-4, -4, w + 8, h + 8},                      // covers the frame
+  };
+}
+
+TEST(MaskRoiTest, MatchesFullFrameOracleAtEveryTier) {
+  const Rgb palette[] = {Rgb{48, 80, 176}, Rgb{40, 120, 60},
+                         Rgb{240, 240, 240}, Rgb{208, 48, 48},
+                         Rgb{208, 144, 112}};
+  const kernels::SimdLevel previous = kernels::ActiveLevel();
+  for (kernels::SimdLevel level :
+       {kernels::SimdLevel::kScalar, kernels::SimdLevel::kSse41,
+        kernels::SimdLevel::kAvx2}) {
+    if (kernels::OpsFor(level) == nullptr) continue;
+    kernels::SetActiveLevel(level);
+    SCOPED_TRACE(kernels::SimdLevelName(level));
+    Rng rng(0x5e6);
+    for (auto [w, h] : std::vector<std::pair<int, int>>{
+             {128, 96}, {37, 23}, {1, 9}, {9, 1}, {3, 3}, {64, 5}}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const Frame frame = RandomSceneFrame(w, h, palette, 5, rng);
+        // The tracker's shape: foreground = outside court, surround and
+        // line boxes; plus a single inside box.
+        const kernels::ColorBox background[3] = {
+            BoxAround(palette[0], 4 + static_cast<int>(rng.NextBounded(6))),
+            BoxAround(palette[1], 4 + static_cast<int>(rng.NextBounded(6))),
+            BoxAround(palette[2], 4 + static_cast<int>(rng.NextBounded(6)))};
+        const kernels::ColorBox player =
+            BoxAround(palette[3], 3 + static_cast<int>(rng.NextBounded(6)));
+        for (const RectI& roi : TestRois(w, h, rng)) {
+          SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " roi " +
+                       roi.ToString());
+          const BinaryMask outside =
+              BinaryMask::FromOutsideColorBoxes(frame, roi, background, 3);
+          const FullMask outside_full =
+              OracleMask(frame, roi, [&](const Rgb& p) {
+                return !background[0].Contains(p) &&
+                       !background[1].Contains(p) && !background[2].Contains(p);
+              });
+          const BinaryMask inside =
+              BinaryMask::FromColorBox(frame, roi, player);
+          const FullMask inside_full = OracleMask(
+              frame, roi, [&](const Rgb& p) { return player.Contains(p); });
+
+          for (const auto& [mask, full] :
+               {std::pair{&outside, &outside_full},
+                std::pair{&inside, &inside_full}}) {
+            ExpectSamePixels(*mask, *full, "mask");
+            ExpectSamePixels(mask->Erode(), OracleErode(*full), "erode");
+            ExpectSamePixels(mask->Dilate(), OracleDilate(*full), "dilate");
+            ExpectSamePixels(mask->Close(), OracleErode(OracleDilate(*full)),
+                             "close");
+            const FullMask opened_full = OracleDilate(OracleErode(*full));
+            ExpectSamePixels(mask->Open(), opened_full, "open");
+            ExpectSameComponents(LabelComponents(*mask),
+                                 OracleLabel(*full, 1));
+            ExpectSameComponents(LabelComponents(mask->Open(), 3),
+                                 OracleLabel(opened_full, 3));
+          }
+        }
+      }
+    }
+  }
+  kernels::SetActiveLevel(previous);
 }
 
 // ---------- Moments ----------
