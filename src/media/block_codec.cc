@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "media/dct.h"
 #include "util/strings.h"
@@ -31,10 +32,25 @@ struct Plane {
   void Set(int x, int y, int16_t v) {
     samples[static_cast<size_t>(y) * width + x] = v;
   }
+  const int16_t* Row(int y) const {
+    return samples.data() + static_cast<size_t>(y) * width;
+  }
+  int16_t* Row(int y) {
+    return samples.data() + static_cast<size_t>(y) * width;
+  }
 };
 
 struct Planes {
   Plane y, cb, cr;
+
+  /// Sizes the planes for a padded luma_w x luma_h frame, reallocating only
+  /// when the size changes; the caller overwrites every sample.
+  void Allocate(int luma_w, int luma_h) {
+    if (y.width == luma_w && y.height == luma_h) return;
+    y.Resize(luma_w, luma_h);
+    cb.Resize(luma_w / 2, luma_h / 2);
+    cr.Resize(luma_w / 2, luma_h / 2);
+  }
 };
 
 int PadTo(int v, int multiple) {
@@ -50,9 +66,7 @@ int16_t ClampSample(double v) {
 void FrameToPlanes(const Frame& frame, Planes* out) {
   const int luma_w = PadTo(frame.width(), kMb);
   const int luma_h = PadTo(frame.height(), kMb);
-  out->y.Resize(luma_w, luma_h);
-  out->cb.Resize(luma_w / 2, luma_h / 2);
-  out->cr.Resize(luma_w / 2, luma_h / 2);
+  out->Allocate(luma_w, luma_h);
 
   for (int y = 0; y < luma_h; ++y) {
     int sy = std::min(y, frame.height() - 1);
@@ -82,21 +96,15 @@ void FrameToPlanes(const Frame& frame, Planes* out) {
   }
 }
 
-Frame PlanesToFrame(const Planes& planes, int width, int height) {
+static_assert(sizeof(Rgb) == 3, "Frame rows must be packed RGB24");
+
+Frame PlanesToFrame(const Planes& planes, int width, int height,
+                    const DctOps& ops) {
   Frame frame(width, height);
   for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      double luma = planes.y.At(x, y);
-      double cb = planes.cb.At(x / 2, y / 2) - 128.0;
-      double cr = planes.cr.At(x / 2, y / 2) - 128.0;
-      double r = luma + 1.403 * cr;
-      double g = luma - 0.344 * cb - 0.714 * cr;
-      double b = luma + 1.773 * cb;
-      frame.At(x, y) =
-          Rgb{static_cast<uint8_t>(std::clamp(r, 0.0, 255.0)),
-              static_cast<uint8_t>(std::clamp(g, 0.0, 255.0)),
-              static_cast<uint8_t>(std::clamp(b, 0.0, 255.0))};
-    }
+    ops.ycbcr_to_rgb_row(planes.y.Row(y), planes.cb.Row(y / 2),
+                         planes.cr.Row(y / 2), width,
+                         reinterpret_cast<uint8_t*>(frame.Row(y)));
   }
   return frame;
 }
@@ -113,10 +121,10 @@ void PutVarint(int32_t value, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(zz));
 }
 
-bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, int32_t* value) {
+bool GetVarint(const uint8_t* in, size_t size, size_t* pos, int32_t* value) {
   uint32_t zz = 0;
   int shift = 0;
-  while (*pos < in.size() && shift <= 28) {
+  while (*pos < size && shift <= 28) {
     uint8_t byte = in[(*pos)++];
     zz |= static_cast<uint32_t>(byte & 0x7F) << shift;
     if (!(byte & 0x80)) {
@@ -149,17 +157,27 @@ bool EncodeBlock(const std::array<int16_t, 64>& zz, std::vector<uint8_t>* out) {
   return any;
 }
 
-bool DecodeBlock(const std::vector<uint8_t>& in, size_t* pos,
-                 std::array<int16_t, 64>* zz) {
-  zz->fill(0);
+/// Parses one RLE-coded block straight into natural (row-major) order, so
+/// no unscan follows, and marks in `row_mask` / `col_mask` the rows and
+/// columns that received a level. `levels` must be all zero on entry.
+bool DecodeBlock(const uint8_t* in, size_t size, size_t* pos,
+                 int16_t* levels, uint8_t* row_mask, uint8_t* col_mask) {
+  uint8_t rows = 0, cols = 0;
   int i = 0;
-  while (*pos < in.size()) {
+  while (*pos < size) {
     uint8_t run = in[(*pos)++];
-    if (run == kEob) return true;
+    if (run == kEob) {
+      *row_mask = rows;
+      *col_mask = cols;
+      return true;
+    }
     i += run;
     int32_t level;
-    if (i >= 64 || !GetVarint(in, pos, &level)) return false;
-    (*zz)[static_cast<size_t>(i)] = static_cast<int16_t>(level);
+    if (i >= 64 || !GetVarint(in, size, pos, &level)) return false;
+    const int at = kZigzagOrder[static_cast<size_t>(i)];
+    levels[at] = static_cast<int16_t>(level);
+    rows |= static_cast<uint8_t>(1 << (at / 8));
+    cols |= static_cast<uint8_t>(1 << (at % 8));
     ++i;
   }
   return false;
@@ -182,34 +200,34 @@ void CodeBlock(const PixelBlock& input, const QuantTableSet& tables,
   InverseDct(dequantized, recon_out);
 }
 
-void ReconstructBlock(const std::array<int16_t, 64>& zz,
-                      const QuantTableSet& tables, bool chroma,
-                      PixelBlock* recon_out) {
-  std::array<int16_t, 64> quantized;
-  ZigzagUnscan(zz, &quantized);
-  DctBlock dequantized;
-  Dequantize(quantized, tables, chroma, &dequantized);
-  InverseDct(dequantized, recon_out);
+/// Where an 8x8 block's prediction comes from: a row pointer and the
+/// distance between its rows.
+struct Prediction {
+  const int16_t* row0;
+  ptrdiff_t stride;
+};
+
+/// Intra blocks predict mid-grey: one row of 128s read with stride 0.
+constexpr int16_t kMidGreyRow[8] = {128, 128, 128, 128,
+                                    128, 128, 128, 128};
+constexpr Prediction kIntraPrediction = {kMidGreyRow, 0};
+
+/// Inter and SKIP blocks predict from the reference plane in place at the
+/// motion-compensated position (x, y), which must lie inside the plane.
+Prediction MotionPrediction(const Plane& reference, int x, int y) {
+  return {reference.Row(y) + x, reference.width};
 }
 
-void ReadBlock(const Plane& plane, int bx, int by, PixelBlock* out) {
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      (*out)[static_cast<size_t>(y) * 8 + x] = plane.At(bx + x, by + y);
-    }
-  }
-}
+/// The residual of blocks outside the coded-block pattern (and of SKIP).
+constexpr PixelBlock kZeroResidual{};
 
-void WriteBlock(Plane* plane, int bx, int by, const PixelBlock& in,
-                const PixelBlock* prediction, int dc_offset) {
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      int v = in[static_cast<size_t>(y) * 8 + x] + dc_offset;
-      if (prediction) v += (*prediction)[static_cast<size_t>(y) * 8 + x];
-      plane->Set(bx + x, by + y,
-                 static_cast<int16_t>(std::clamp(v, 0, 255)));
-    }
-  }
+/// Writes prediction + residual, clamped to [0, 255], into the 8x8 block at
+/// (bx, by) of `out`: the one reconstruction path, shared by the encoder's
+/// closed loop and the decoder.
+void Reconstruct(const DctOps& ops, const int16_t* residual,
+                 const Prediction& prediction, Plane* out, int bx, int by) {
+  ops.reconstruct8x8(residual, prediction.row0, prediction.stride,
+                     out->Row(by) + bx, out->width);
 }
 
 /// Mean absolute difference per pixel between a 16x16 luma block and the
@@ -403,7 +421,9 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
     COBRA_ASSIGN_OR_RETURN(Frame frame, video.GetFrame(f));
     Planes current;
     FrameToPlanes(frame, &current);
-    Planes recon = current;  // overwritten block by block
+    Planes recon;  // written block by block
+    recon.Allocate(current.y.width, current.y.height);
+    const DctOps& ops = ActiveDctOps();
 
     const bool intra_frame = (f % config.gop_size == 0);
     std::vector<uint8_t> bits;
@@ -457,25 +477,6 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
           mode = kIntra;
         }
 
-        if (mode == kSkip) {
-          bits.push_back(kSkip);
-          // Reconstruction copies the reference.
-          for (const BlockRef& b : kMbBlocks) {
-            const Plane& ref_plane = reference.*(b.plane);
-            Plane& rec_plane = recon.*(b.plane);
-            int scale = b.chroma ? 2 : 1;
-            int bx = (b.chroma ? mbx * 8 : px) + b.dx;
-            int by = (b.chroma ? mby * 8 : py) + b.dy;
-            (void)scale;
-            for (int y = 0; y < 8; ++y) {
-              for (int x = 0; x < 8; ++x) {
-                rec_plane.Set(bx + x, by + y, ref_plane.At(bx + x, by + y));
-              }
-            }
-          }
-          continue;
-        }
-
         if (mode == kInter) {
           ++inter_mbs;
           motion_sum += std::sqrt(static_cast<double>(best_mvx) * best_mvx +
@@ -488,37 +489,39 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
           bits.push_back(static_cast<uint8_t>(static_cast<int8_t>(best_mvy)));
         }
 
-        // Code the six blocks; collect the coded-block pattern first.
+        // Code the six blocks (SKIP codes none and predicts at mv 0);
+        // collect the coded-block pattern first.
+        const int mvx = mode == kInter ? best_mvx : 0;
+        const int mvy = mode == kInter ? best_mvy : 0;
         std::array<int16_t, 64> zz[6];
-        PixelBlock recon_block[6];
-        PixelBlock prediction[6];
+        PixelBlock residual[6] = {};
+        Prediction prediction[6];
         uint8_t cbp = 0;
         for (int b = 0; b < 6; ++b) {
           const BlockRef& ref = kMbBlocks[b];
           int bx = (ref.chroma ? mbx * 8 : px) + ref.dx;
           int by = (ref.chroma ? mby * 8 : py) + ref.dy;
-          PixelBlock source;
-          ReadBlock(current.*(ref.plane), bx, by, &source);
+          // Motion-compensated prediction (chroma uses mv/2).
+          prediction[b] =
+              mode == kIntra
+                  ? kIntraPrediction
+                  : MotionPrediction(reference.*(ref.plane),
+                                     bx + (ref.chroma ? mvx / 2 : mvx),
+                                     by + (ref.chroma ? mvy / 2 : mvy));
+          if (mode == kSkip) continue;
 
+          const Plane& source = current.*(ref.plane);
           PixelBlock input;
-          if (mode == kIntra) {
-            for (int i = 0; i < 64; ++i) {
-              input[static_cast<size_t>(i)] =
-                  static_cast<int16_t>(source[static_cast<size_t>(i)] - 128);
-            }
-          } else {
-            // Motion-compensated prediction (chroma uses mv/2).
-            int mvx = ref.chroma ? best_mvx / 2 : best_mvx;
-            int mvy = ref.chroma ? best_mvy / 2 : best_mvy;
-            ReadBlock(reference.*(ref.plane), bx + mvx, by + mvy,
-                      &prediction[b]);
-            for (int i = 0; i < 64; ++i) {
-              input[static_cast<size_t>(i)] = static_cast<int16_t>(
-                  source[static_cast<size_t>(i)] -
-                  prediction[b][static_cast<size_t>(i)]);
+          for (int y = 0; y < 8; ++y) {
+            const int16_t* src = source.Row(by + y) + bx;
+            const int16_t* pred =
+                prediction[b].row0 + y * prediction[b].stride;
+            for (int x = 0; x < 8; ++x) {
+              input[static_cast<size_t>(y * 8 + x)] =
+                  static_cast<int16_t>(src[x] - pred[x]);
             }
           }
-          CodeBlock(input, tables, ref.chroma, &zz[b], &recon_block[b]);
+          CodeBlock(input, tables, ref.chroma, &zz[b], &residual[b]);
           bool nonzero = false;
           for (int16_t v : zz[b]) {
             if (v != 0) {
@@ -528,26 +531,21 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
           }
           if (nonzero) cbp |= static_cast<uint8_t>(1 << b);
         }
-        bits.push_back(cbp);
-        for (int b = 0; b < 6; ++b) {
-          if (cbp & (1 << b)) (void)EncodeBlock(zz[b], &bits);
+        if (mode != kSkip) {
+          bits.push_back(cbp);
+          for (int b = 0; b < 6; ++b) {
+            if (cbp & (1 << b)) (void)EncodeBlock(zz[b], &bits);
+          }
         }
 
-        // Closed-loop reconstruction.
+        // Closed-loop reconstruction. A block outside the coded-block
+        // pattern quantized to all zeros, so its residual is all zeros.
         for (int b = 0; b < 6; ++b) {
           const BlockRef& ref = kMbBlocks[b];
           int bx = (ref.chroma ? mbx * 8 : px) + ref.dx;
           int by = (ref.chroma ? mby * 8 : py) + ref.dy;
-          PixelBlock zero{};
-          const PixelBlock& contribution =
-              (cbp & (1 << b)) ? recon_block[b] : zero;
-          if (mode == kIntra) {
-            WriteBlock(&(recon.*(ref.plane)), bx, by, contribution, nullptr,
-                       128);
-          } else {
-            WriteBlock(&(recon.*(ref.plane)), bx, by, contribution,
-                       &prediction[b], 0);
-          }
+          Reconstruct(ops, residual[b].data(), prediction[b],
+                      &(recon.*(ref.plane)), bx, by);
         }
       }
     }
@@ -569,7 +567,9 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
 // ---------- decoder ----------
 
 struct CodedVideoSource::DecoderState {
-  Planes reference;
+  Planes reference;  ///< frame next_index - 1, when have_reference
+  Planes scratch;    ///< the next frame decodes here, then swaps in
+  bool have_reference = false;
   int64_t next_index = 0;  ///< the frame DecodeNext would produce
 };
 
@@ -591,81 +591,87 @@ CodedVideoSource::DecoderState& CodedVideoSource::ThreadState() const {
 
 namespace {
 
-Status DecodeFrameBits(const std::vector<uint8_t>& bits,
-                       const QuantTableSet& tables, Planes* reference,
-                       int luma_w, int luma_h) {
-  if (bits.empty()) return Status::ParseError("empty frame bitstream");
+/// Decodes one frame's bitstream into `out`, predicting from `reference`
+/// (nullptr when there is none: a GOP decode's first frame). Corrupt or
+/// hostile input ends in ParseError before any out-of-plane access.
+Status DecodeFrameBits(const std::vector<uint8_t>& stream,
+                       const QuantTableSet& tables, const DctOps& ops,
+                       const Planes* reference, int luma_w, int luma_h,
+                       Planes* out) {
+  const uint8_t* bits = stream.data();
+  const size_t size = stream.size();
+  if (size == 0) return Status::ParseError("empty frame bitstream");
   size_t pos = 0;
   const char type = static_cast<char>(bits[pos++]);
   if (type != 'I' && type != 'P') {
     return Status::ParseError("bad frame type marker");
   }
-  Planes current;
-  current.y.Resize(luma_w, luma_h);
-  current.cb.Resize(luma_w / 2, luma_h / 2);
-  current.cr.Resize(luma_w / 2, luma_h / 2);
+  if (type == 'P' && reference == nullptr) {
+    return Status::ParseError("P frame without a reference frame");
+  }
+  out->Allocate(luma_w, luma_h);
 
+  PixelBlock levels, residual;
+  DctBlock coeffs;
   const int mb_cols = luma_w / kMb;
   const int mb_rows = luma_h / kMb;
   for (int mby = 0; mby < mb_rows; ++mby) {
     for (int mbx = 0; mbx < mb_cols; ++mbx) {
-      if (pos >= bits.size()) return Status::ParseError("truncated stream");
+      if (pos >= size) return Status::ParseError("truncated stream");
       const int px = mbx * kMb, py = mby * kMb;
-      MbMode mode = static_cast<MbMode>(bits[pos++]);
-      int mvx = 0, mvy = 0;
-      if (mode == kSkip || mode == kInter) {
-        if (type == 'I') return Status::ParseError("inter MB in I frame");
-      }
-      if (mode == kInter) {
-        if (pos + 2 > bits.size()) return Status::ParseError("truncated mv");
-        mvx = static_cast<int8_t>(bits[pos++]);
-        mvy = static_cast<int8_t>(bits[pos++]);
-      }
-      if (mode == kSkip) {
-        for (const BlockRef& b : kMbBlocks) {
-          int bx = (b.chroma ? mbx * 8 : px) + b.dx;
-          int by = (b.chroma ? mby * 8 : py) + b.dy;
-          for (int y = 0; y < 8; ++y) {
-            for (int x = 0; x < 8; ++x) {
-              (current.*(b.plane))
-                  .Set(bx + x, by + y, (reference->*(b.plane)).At(bx + x, by + y));
-            }
-          }
-        }
-        continue;
-      }
-      if (mode != kInter && mode != kIntra) {
+      const MbMode mode = static_cast<MbMode>(bits[pos++]);
+      if (mode != kSkip && mode != kInter && mode != kIntra) {
         return Status::ParseError("bad macroblock mode");
       }
-      if (pos >= bits.size()) return Status::ParseError("truncated cbp");
-      uint8_t cbp = bits[pos++];
+      if (mode != kIntra && type == 'I') {
+        return Status::ParseError("inter MB in I frame");
+      }
+      int mvx = 0, mvy = 0;
+      if (mode == kInter) {
+        if (pos + 2 > size) return Status::ParseError("truncated mv");
+        mvx = static_cast<int8_t>(bits[pos++]);
+        mvy = static_cast<int8_t>(bits[pos++]);
+        // The 16x16 luma prediction must lie inside the reference; the
+        // chroma blocks at mv/2 (rounded toward zero) then lie inside the
+        // chroma planes too.
+        if (px + mvx < 0 || py + mvy < 0 || px + mvx + kMb > luma_w ||
+            py + mvy + kMb > luma_h) {
+          return Status::ParseError("motion vector leaves the reference");
+        }
+      }
+      uint8_t cbp = 0;  // SKIP: no coded blocks, prediction at mv 0
+      if (mode != kSkip) {
+        if (pos >= size) return Status::ParseError("truncated cbp");
+        cbp = bits[pos++];
+      }
       for (int b = 0; b < 6; ++b) {
         const BlockRef& ref = kMbBlocks[b];
         int bx = (ref.chroma ? mbx * 8 : px) + ref.dx;
         int by = (ref.chroma ? mby * 8 : py) + ref.dy;
-        PixelBlock contribution{};
+        const int16_t* block_residual = kZeroResidual.data();
         if (cbp & (1 << b)) {
-          std::array<int16_t, 64> zz;
-          if (!DecodeBlock(bits, &pos, &zz)) {
+          levels.fill(0);
+          uint8_t rows = 0, cols = 0;
+          if (!DecodeBlock(bits, size, &pos, levels.data(), &rows, &cols)) {
             return Status::ParseError("corrupt block data");
           }
-          ReconstructBlock(zz, tables, ref.chroma, &contribution);
+          ops.dequant64(levels.data(),
+                        tables.dequant[ref.chroma ? 1 : 0].data(),
+                        coeffs.data());
+          ops.idct8x8(coeffs.data(), rows, cols, residual.data());
+          block_residual = residual.data();
         }
-        if (mode == kIntra) {
-          WriteBlock(&(current.*(ref.plane)), bx, by, contribution, nullptr,
-                     128);
-        } else {
-          int cmvx = ref.chroma ? mvx / 2 : mvx;
-          int cmvy = ref.chroma ? mvy / 2 : mvy;
-          PixelBlock prediction;
-          ReadBlock(reference->*(ref.plane), bx + cmvx, by + cmvy, &prediction);
-          WriteBlock(&(current.*(ref.plane)), bx, by, contribution, &prediction,
-                     0);
-        }
+        const Prediction prediction =
+            mode == kIntra
+                ? kIntraPrediction
+                : MotionPrediction(reference->*(ref.plane),
+                                   bx + (ref.chroma ? mvx / 2 : mvx),
+                                   by + (ref.chroma ? mvy / 2 : mvy));
+        Reconstruct(ops, block_residual, prediction, &(out->*(ref.plane)), bx,
+                    by);
       }
     }
   }
-  *reference = std::move(current);
   return Status::OK();
 }
 
@@ -674,6 +680,7 @@ Status DecodeFrameBits(const std::vector<uint8_t>& bits,
 Result<Frame> CodedVideoSource::DecodeAt(int64_t index) const {
   const int luma_w = PadTo(encoded_.width(), kMb);
   const int luma_h = PadTo(encoded_.height(), kMb);
+  const DctOps& ops = ActiveDctOps();
   DecoderState& state = ThreadState();
   // The cache holds only this thread's most recently decoded frame
   // (next_index - 1). Restart at the target's I-frame when seeking
@@ -684,14 +691,19 @@ Result<Frame> CodedVideoSource::DecodeAt(int64_t index) const {
           .first_frame;
   if (index + 1 < state.next_index || gop_start > state.next_index) {
     state.next_index = gop_start;
+    state.have_reference = false;
   }
   while (state.next_index <= index) {
-    COBRA_RETURN_NOT_OK(DecodeFrameBits(encoded_.FrameBits(state.next_index),
-                                        quant_tables_, &state.reference,
-                                        luma_w, luma_h));
+    COBRA_RETURN_NOT_OK(DecodeFrameBits(
+        encoded_.FrameBits(state.next_index), quant_tables_, ops,
+        state.have_reference ? &state.reference : nullptr, luma_w, luma_h,
+        &state.scratch));
+    std::swap(state.reference, state.scratch);
+    state.have_reference = true;
     ++state.next_index;
   }
-  return PlanesToFrame(state.reference, encoded_.width(), encoded_.height());
+  return PlanesToFrame(state.reference, encoded_.width(), encoded_.height(),
+                       ops);
 }
 
 Result<std::vector<Frame>> CodedVideoSource::DecodeGop(int64_t gop_index) const {
@@ -704,14 +716,18 @@ Result<std::vector<Frame>> CodedVideoSource::DecodeGop(int64_t gop_index) const 
   const GopIndexEntry& gop = encoded_.Gops()[static_cast<size_t>(gop_index)];
   const int luma_w = PadTo(encoded_.width(), kMb);
   const int luma_h = PadTo(encoded_.height(), kMb);
-  Planes reference;  // local: nothing shared, nothing locked
+  const DctOps& ops = ActiveDctOps();
+  Planes reference, scratch;  // local: nothing shared, nothing locked
   std::vector<Frame> frames;
   frames.reserve(static_cast<size_t>(gop.num_frames));
   for (int64_t f = gop.first_frame; f < gop.first_frame + gop.num_frames; ++f) {
-    COBRA_RETURN_NOT_OK(DecodeFrameBits(encoded_.FrameBits(f), quant_tables_,
-                                        &reference, luma_w, luma_h));
+    COBRA_RETURN_NOT_OK(DecodeFrameBits(
+        encoded_.FrameBits(f), quant_tables_, ops,
+        f == gop.first_frame ? nullptr : &reference, luma_w, luma_h,
+        &scratch));
+    std::swap(reference, scratch);
     frames.push_back(PlanesToFrame(reference, encoded_.width(),
-                                   encoded_.height()));
+                                   encoded_.height(), ops));
   }
   return frames;
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "detectors/compressed_shot_boundary.h"
 #include "media/block_codec.h"
@@ -76,15 +79,210 @@ TEST(DctTest, QuantizationHigherQualityLowerError) {
 TEST(DctTest, ZigzagRoundTrip) {
   std::array<int16_t, 64> block;
   for (int i = 0; i < 64; ++i) block[static_cast<size_t>(i)] = static_cast<int16_t>(i * 3 - 90);
-  std::array<int16_t, 64> zz, back;
+  std::array<int16_t, 64> zz, back{};
   ZigzagScan(block, &zz);
-  ZigzagUnscan(zz, &back);
+  for (size_t i = 0; i < 64; ++i) back[kZigzagOrder[i]] = zz[i];
   EXPECT_EQ(block, back);
   // Zigzag starts at DC and visits each position once.
   EXPECT_EQ(kZigzagOrder[0], 0);
   std::array<bool, 64> seen{};
   for (uint8_t p : kZigzagOrder) seen[p] = true;
   for (bool s : seen) EXPECT_TRUE(s);
+}
+
+// ---------- decode kernels, every tier against the scalar formulas ----------
+
+struct Tier {
+  const char* name;
+  const DctOps* ops;
+};
+
+/// Every tier this build compiled and this CPU runs.
+std::vector<Tier> AllTiers() {
+  std::vector<Tier> tiers;
+  for (auto level : {util::simd::SimdLevel::kScalar,
+                     util::simd::SimdLevel::kSse41,
+                     util::simd::SimdLevel::kAvx2}) {
+    if (const DctOps* ops = DctOpsFor(level)) {
+      tiers.push_back({util::simd::SimdLevelName(level), ops});
+    }
+  }
+  return tiers;
+}
+
+/// The decoder's per-pixel YCbCr -> RGB formula, clamped then truncated.
+void ReferenceYcbcrToRgb(int y, int cb, int cr, uint8_t* rgb) {
+  const double luma = y;
+  const double u = cb - 128.0;
+  const double v = cr - 128.0;
+  const auto channel = [](double c) {
+    return static_cast<uint8_t>(std::clamp(c, 0.0, 255.0));
+  };
+  rgb[0] = channel(luma + 1.403 * v);
+  rgb[1] = channel(luma - 0.344 * u - 0.714 * v);
+  rgb[2] = channel(luma + 1.773 * u);
+}
+
+TEST(DctKernelTest, ColourRowMatchesFormulaOnEveryInput) {
+  // Row r of chroma plane value cr holds cb = 0..255 at chroma positions
+  // 0..255 and lumas 2r, 2r + 1 under each: all 2^24 (y, cb, cr) triples.
+  constexpr int kWidth = 512;
+  std::vector<int16_t> y(kWidth), cb(kWidth / 2), cr(kWidth / 2);
+  std::vector<uint8_t> expected(3 * kWidth), got(3 * kWidth);
+  for (size_t j = 0; j < cb.size(); ++j) cb[j] = static_cast<int16_t>(j);
+  const std::vector<Tier> tiers = AllTiers();
+  for (int c = 0; c < 256; ++c) {
+    std::fill(cr.begin(), cr.end(), static_cast<int16_t>(c));
+    for (int r = 0; r < 128; ++r) {
+      for (size_t x = 0; x < y.size(); ++x) {
+        y[x] = static_cast<int16_t>(2 * r + x % 2);
+        ReferenceYcbcrToRgb(y[x], cb[x / 2], c, &expected[3 * x]);
+      }
+      for (const Tier& tier : tiers) {
+        tier.ops->ycbcr_to_rgb_row(y.data(), cb.data(), cr.data(), kWidth,
+                                   got.data());
+        ASSERT_EQ(got, expected) << tier.name << " cr " << c << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(DctKernelTest, ColourRowCoversAnyWidthAndWritesNoFurther) {
+  Rng rng(41);
+  const std::vector<Tier> tiers = AllTiers();
+  for (int width = 1; width <= 70; ++width) {
+    std::vector<int16_t> y(static_cast<size_t>(width));
+    std::vector<int16_t> cb(static_cast<size_t>(width + 1) / 2), cr(cb.size());
+    for (auto& v : y) v = static_cast<int16_t>(rng.NextInt(0, 255));
+    for (auto& v : cb) v = static_cast<int16_t>(rng.NextInt(0, 255));
+    for (auto& v : cr) v = static_cast<int16_t>(rng.NextInt(0, 255));
+    std::vector<uint8_t> expected(3 * y.size() + 16, 0xEE);
+    for (size_t x = 0; x < y.size(); ++x) {
+      ReferenceYcbcrToRgb(y[x], cb[x / 2], cr[x / 2], &expected[3 * x]);
+    }
+    for (const Tier& tier : tiers) {
+      std::vector<uint8_t> got(expected.size(), 0xEE);
+      tier.ops->ycbcr_to_rgb_row(y.data(), cb.data(), cr.data(), width,
+                                 got.data());
+      EXPECT_EQ(got, expected) << tier.name << " width " << width;
+    }
+  }
+}
+
+/// The dense IDCT the masked one replaced: columns then rows, each a
+/// sequential k-order sum, rounded half away from zero and saturated.
+PixelBlock ReferenceDenseIdct(const DctBlock& in) {
+  constexpr double kPi = 3.14159265358979323846;
+  double basis[8][8];
+  for (int k = 0; k < 8; ++k) {
+    double s = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+    for (int n = 0; n < 8; ++n) {
+      basis[k][n] = s * std::cos((2 * n + 1) * k * kPi / 16.0);
+    }
+  }
+  double tmp[64];
+  for (int n = 0; n < 8; ++n) {
+    for (int x = 0; x < 8; ++x) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) {
+        acc += basis[k][n] * in[static_cast<size_t>(k * 8 + x)];
+      }
+      tmp[n * 8 + x] = acc;
+    }
+  }
+  PixelBlock out;
+  for (int y = 0; y < 8; ++y) {
+    for (int n = 0; n < 8; ++n) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += basis[k][n] * tmp[y * 8 + k];
+      const int32_t r = static_cast<int32_t>(acc + std::copysign(0.5, acc));
+      out[static_cast<size_t>(y * 8 + n)] =
+          static_cast<int16_t>(std::clamp(r, -32768, 32767));
+    }
+  }
+  return out;
+}
+
+TEST(DctKernelTest, MaskedIdctEqualsDenseAtEveryTier) {
+  Rng rng(77);
+  const std::vector<Tier> tiers = AllTiers();
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Random zero-row / zero-column patterns; the first trials pin the
+    // all-zero, DC-only and full blocks.
+    uint8_t rows = static_cast<uint8_t>(rng.NextInt(0, 255));
+    uint8_t cols = static_cast<uint8_t>(rng.NextInt(0, 255));
+    if (trial == 0) rows = cols = 0x00;
+    if (trial == 1) rows = cols = 0x01;
+    if (trial == 2) rows = cols = 0xFF;
+    const int quality = static_cast<int>(rng.NextInt(1, 100));
+    // Mostly decoder-sized levels, sometimes large enough to saturate.
+    const int max_level = trial % 10 == 0 ? 32767 : 60;
+    std::array<int16_t, 64> levels{};
+    uint8_t tight_rows = 0, tight_cols = 0;
+    for (int i = 0; i < 64; ++i) {
+      const int r = i / 8, c = i % 8;
+      if (!((rows >> r) & 1) || !((cols >> c) & 1)) continue;
+      if (trial > 2 && rng.NextInt(0, 2) == 0) continue;  // sparse inside
+      int16_t level = static_cast<int16_t>(rng.NextInt(-max_level, max_level));
+      if (level == 0) level = 1;
+      levels[static_cast<size_t>(i)] = level;
+      tight_rows |= static_cast<uint8_t>(1 << r);
+      tight_cols |= static_cast<uint8_t>(1 << c);
+    }
+    DctBlock coeffs;
+    Dequantize(levels, quality, trial % 2 == 1, &coeffs);
+    const PixelBlock expected = ReferenceDenseIdct(coeffs);
+    for (const Tier& tier : tiers) {
+      // Tight masks, the generating (looser) masks, and the dense call.
+      for (auto [row_mask, col_mask] :
+           {std::pair<uint8_t, uint8_t>{tight_rows, tight_cols},
+            std::pair<uint8_t, uint8_t>{rows, cols},
+            std::pair<uint8_t, uint8_t>{0xFF, 0xFF}}) {
+        PixelBlock got;
+        tier.ops->idct8x8(coeffs.data(), row_mask, col_mask, got.data());
+        ASSERT_EQ(got, expected)
+            << tier.name << " trial " << trial << " rows 0x" << std::hex
+            << int{row_mask} << " cols 0x" << int{col_mask};
+      }
+    }
+  }
+}
+
+TEST(DctKernelTest, ReconstructIsTheClampedSumAtEveryTier) {
+  Rng rng(5);
+  const std::vector<Tier> tiers = AllTiers();
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Residuals over the whole int16 range; predictions mostly in
+    // [0, 255] (every decoded sample is), sometimes anywhere in int16.
+    PixelBlock residual;
+    const int residual_max = trial % 3 == 0 ? 300 : 32767;
+    for (auto& v : residual) {
+      v = static_cast<int16_t>(rng.NextInt(-residual_max - 1, residual_max));
+    }
+    const int pred_stride = 8 * static_cast<int>(rng.NextInt(0, 2)) + trial % 2;
+    const int out_stride = 8 + static_cast<int>(rng.NextInt(0, 9));
+    const bool any_pred = trial % 5 == 0;
+    std::vector<int16_t> pred(static_cast<size_t>(7 * pred_stride + 8));
+    for (auto& v : pred) {
+      v = static_cast<int16_t>(any_pred ? rng.NextInt(-32768, 32767)
+                                        : rng.NextInt(0, 255));
+    }
+    std::vector<int16_t> expected(static_cast<size_t>(8 * out_stride), -7);
+    for (int y = 0; y < 8; ++y) {
+      for (int x = 0; x < 8; ++x) {
+        const int sum = pred[static_cast<size_t>(y * pred_stride + x)] +
+                        residual[static_cast<size_t>(y * 8 + x)];
+        expected[static_cast<size_t>(y * out_stride + x)] =
+            static_cast<int16_t>(std::clamp(sum, 0, 255));
+      }
+    }
+    for (const Tier& tier : tiers) {
+      std::vector<int16_t> got(expected.size(), -7);
+      tier.ops->reconstruct8x8(residual.data(), pred.data(), pred_stride,
+                               got.data(), out_stride);
+      ASSERT_EQ(got, expected) << tier.name << " trial " << trial;
+    }
+  }
 }
 
 // ---------- Codec ----------

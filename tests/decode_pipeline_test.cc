@@ -4,11 +4,13 @@
 /// (including all-intra and a final partial GOP), thread-safety of
 /// CodedVideoSource::GetFrame under a hammering pool (the TSan regression
 /// for the old shared-DecoderState race), DCT dispatch-tier bit-identity,
-/// and FDE-over-coded-source equivalence with FDE-over-decoded-frames.
+/// decoded frames pinned by digest at every tier, and FDE-over-coded-source
+/// equivalence with FDE-over-decoded-frames.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -306,6 +308,124 @@ TEST(DecodePipelineTest, DctTiersAreBitIdentical) {
     for (size_t f = 0; f < scalar_frames.size(); ++f) {
       ASSERT_TRUE(FramesIdentical(tier_frames[f], scalar_frames[f]))
           << util::simd::SimdLevelName(level) << " frame " << f;
+    }
+  }
+  vision::kernels::SetActiveLevel(original);
+}
+
+// ---------- pinned decoded output ----------
+
+/// 64-bit FNV-1a over the RGB bytes of every frame, in frame order.
+uint64_t DigestFrames(const MemoryVideo& video) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (int64_t f = 0; f < video.num_frames(); ++f) {
+    const Frame frame = video.GetFrame(f).TakeValue();
+    const auto* bytes = reinterpret_cast<const uint8_t*>(frame.pixels().data());
+    for (size_t i = 0; i < frame.pixels().size() * sizeof(Rgb); ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+struct PinnedShape {
+  int width, height;
+  bool dissolves;
+  int motion_search_range;
+  uint64_t seed;
+};
+
+/// The archive's 128x96 shape, the pipeline fixture's 96x80 with a dissolve
+/// at every boundary, and 100x70, whose planes are padded to 112x80.
+constexpr PinnedShape kPinnedShapes[] = {
+    {128, 96, false, 3, 9101}, {96, 80, true, 7, 3}, {100, 70, false, 7, 17}};
+
+struct PinnedDecode {
+  int shape;  ///< index into kPinnedShapes
+  int gop_size;
+  int quality;
+  uint64_t digest;
+};
+
+/// Digests of the frames the decoder produced before its colour conversion,
+/// IDCT and reconstruction were vectorized; every tier must still match.
+constexpr PinnedDecode kPinnedDecodes[] = {
+    {0,  1, 30, 0xa18e43ee3fea4f1cull},
+    {0,  1, 75, 0x10f06470b1af1793ull},
+    {0,  1, 95, 0x0b04a7d883cc32a8ull},
+    {0, 12, 30, 0x3d686138bd6c8643ull},
+    {0, 12, 75, 0xc82c8cd0bf57541full},
+    {0, 12, 95, 0x60a3f2c4dd2c2500ull},
+    {0, 50, 30, 0xf05314fa197d047cull},
+    {0, 50, 75, 0x238d9071bb59db37ull},
+    {0, 50, 95, 0x72c04d23f1fb4871ull},
+    {1,  1, 30, 0xf896631b9afb1611ull},
+    {1,  1, 75, 0x224a00c043890d0aull},
+    {1,  1, 95, 0x0813417f17cab096ull},
+    {1, 12, 30, 0x4c9e3c81bcc49439ull},
+    {1, 12, 75, 0x200d36d0489381b8ull},
+    {1, 12, 95, 0x18de3dea9a01562full},
+    {1, 50, 30, 0xe79b769d4c866039ull},
+    {1, 50, 75, 0xacf05b5b5c6d10a2ull},
+    {1, 50, 95, 0x037be55244437a94ull},
+    {2,  1, 30, 0x74c088df0929ed14ull},
+    {2,  1, 75, 0x5162199279180209ull},
+    {2,  1, 95, 0x74a33e98b97a6ec4ull},
+    {2, 12, 30, 0xf6ddd8b081444aeeull},
+    {2, 12, 75, 0x3bde8863c5f4bc48ull},
+    {2, 12, 95, 0xfbd5932a898385b9ull},
+    {2, 50, 30, 0xe7e7ae1479fe908eull},
+    {2, 50, 75, 0x1669238b0f5b2256ull},
+    {2, 50, 95, 0xf8f2dbb212482166ull},
+};
+
+MemoryVideo PinnedVideo(const PinnedShape& shape) {
+  TennisSynthConfig config = PipelineVideoConfig();
+  config.width = shape.width;
+  config.height = shape.height;
+  config.min_court_frames = 40;
+  config.max_court_frames = 50;
+  config.dissolve_prob = shape.dissolves ? 1.0 : 0.0;
+  config.seed = shape.seed;
+  auto broadcast = TennisBroadcastSynthesizer(config).Synthesize();
+  EXPECT_TRUE(broadcast.ok()) << broadcast.status().ToString();
+  return MemoryVideo(std::move(*broadcast->video));
+}
+
+TEST(DecodePipelineTest, DecodedFramesMatchPinnedDigestsAtEveryTier) {
+  const util::simd::SimdLevel original = vision::kernels::ActiveLevel();
+  for (int s = 0; s < static_cast<int>(std::size(kPinnedShapes)); ++s) {
+    const PinnedShape& shape = kPinnedShapes[s];
+    const MemoryVideo video = PinnedVideo(shape);
+    for (int gop_size : {1, 12, 50}) {
+      for (int quality : {30, 75, 95}) {
+        CodecConfig config;
+        config.gop_size = gop_size;
+        config.quality = quality;
+        config.motion_search_range = shape.motion_search_range;
+        auto encoded = BlockVideoEncoder::Encode(video, config);
+        ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+        const CodedVideoSource source(encoded.TakeValue());
+        const PinnedDecode* pinned = nullptr;
+        for (const PinnedDecode& p : kPinnedDecodes) {
+          if (p.shape == s && p.gop_size == gop_size && p.quality == quality) {
+            pinned = &p;
+          }
+        }
+        for (auto level : {util::simd::SimdLevel::kScalar,
+                           util::simd::SimdLevel::kSse41,
+                           util::simd::SimdLevel::kAvx2}) {
+          if (DctOpsFor(level) == nullptr) continue;  // compiled out or no CPU
+          vision::kernels::SetActiveLevel(level);
+          auto decoded = source.DecodeAll();
+          ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+          const uint64_t digest = DigestFrames(*decoded);
+          EXPECT_TRUE(pinned != nullptr && pinned->digest == digest)
+              << util::simd::SimdLevelName(level) << " {" << s << ", "
+              << gop_size << ", " << quality << ", 0x" << std::hex << digest
+              << std::dec << "ull}, " << video.num_frames() << " frames";
+        }
+      }
     }
   }
   vision::kernels::SetActiveLevel(original);

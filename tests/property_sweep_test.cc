@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "detectors/compressed_shot_boundary.h"
 #include "detectors/shot_boundary.h"
 #include "detectors/shot_classifier.h"
 #include "media/block_codec.h"
 #include "media/tennis_synthesizer.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace cobra {
@@ -235,6 +239,161 @@ TEST(CodecSerializationTest, CorruptPayloadFailsDecodeNotCrash) {
   if (!frame.ok()) {
     EXPECT_TRUE(frame.status().IsParseError()) << frame.status().ToString();
   }
+}
+
+// ---------- hostile streams: ParseError, never out-of-plane reads ----------
+
+/// Serialized coded video built by hand from raw frame payloads, in the
+/// layout EncodedVideo::Serialize writes: a 28-byte header (magic, width,
+/// height, fps * 1000, gop, quality, frame count), then per frame its
+/// length, payload and 9 stat bytes.
+std::vector<uint8_t> HandBuiltStream(
+    int width, int height, const std::vector<std::vector<uint8_t>>& frames) {
+  std::vector<uint8_t> out;
+  const auto put32 = [&out](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  for (uint32_t v : {0xC0B7A01u, static_cast<uint32_t>(width),
+                     static_cast<uint32_t>(height), 25000u, 12u, 75u,
+                     static_cast<uint32_t>(frames.size())}) {
+    put32(v);
+  }
+  for (const std::vector<uint8_t>& payload : frames) {
+    put32(static_cast<uint32_t>(payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.push_back(payload[0] == 'I' ? 1 : 0);
+    put32(0);
+    put32(0);
+  }
+  return out;
+}
+
+media::CodedVideoSource HandBuiltSource(
+    int width, int height, const std::vector<std::vector<uint8_t>>& frames) {
+  auto encoded =
+      media::EncodedVideo::Deserialize(HandBuiltStream(width, height, frames));
+  EXPECT_TRUE(encoded.ok()) << encoded.status().ToString();
+  return media::CodedVideoSource(std::move(encoded).TakeValue());
+}
+
+/// Every decode path of `source` must end in ParseError for `frame`.
+void ExpectEveryPathFails(const media::CodedVideoSource& source, int64_t frame,
+                          const std::string& what) {
+  auto got = source.GetFrame(frame);
+  EXPECT_TRUE(got.status().IsParseError()) << what << ": "
+                                           << got.status().ToString();
+  auto gop = source.DecodeGop(source.encoded().GopOfFrame(frame));
+  EXPECT_TRUE(gop.status().IsParseError()) << what << ": "
+                                           << gop.status().ToString();
+  auto all = source.DecodeAll();
+  EXPECT_TRUE(all.status().IsParseError()) << what << ": "
+                                           << all.status().ToString();
+}
+
+// Macroblock modes of the bitstream.
+constexpr uint8_t kSkipMb = 0, kInterMb = 1, kIntraMb = 2;
+
+/// A 16x16 I frame: one intra macroblock with no coded blocks (mid-grey).
+std::vector<uint8_t> GreyIntraFrame() { return {'I', kIntraMb, 0}; }
+
+TEST(HostileStreamTest, MotionVectorOutsideTheReferenceFails) {
+  // One 16x16 macroblock: any nonzero vector leaves the reference.
+  for (auto [mvx, mvy] : std::vector<std::pair<int, int>>{
+           {1, 0}, {0, 1}, {-1, 0}, {0, -1}, {127, 127}, {-128, -128},
+           {-16, 0}, {8, -8}}) {
+    const std::vector<uint8_t> inter = {
+        'P', kInterMb, static_cast<uint8_t>(static_cast<int8_t>(mvx)),
+        static_cast<uint8_t>(static_cast<int8_t>(mvy)), 0};
+    const media::CodedVideoSource source =
+        HandBuiltSource(16, 16, {GreyIntraFrame(), inter});
+    ExpectEveryPathFails(
+        source, 1, "mv " + std::to_string(mvx) + "," + std::to_string(mvy));
+  }
+  // Two macroblocks side by side: the left one may predict from the right
+  // one (mv +16), the right one may not look one sample further.
+  const std::vector<uint8_t> grey_pair = {'I', kIntraMb, 0, kIntraMb, 0};
+  const std::vector<uint8_t> inside = {'P', kInterMb, 16, 0, 0,
+                                       kInterMb, 0xF0, 0, 0};  // -16
+  const std::vector<uint8_t> outside = {'P', kInterMb, 16, 0, 0,
+                                        kInterMb, 1, 0, 0};
+  const media::CodedVideoSource ok =
+      HandBuiltSource(32, 16, {grey_pair, inside});
+  auto frame = ok.GetFrame(1);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->At(31, 15), (media::Rgb{128, 128, 128}));
+  ExpectEveryPathFails(HandBuiltSource(32, 16, {grey_pair, outside}), 1,
+                       "right macroblock, mv 1,0");
+}
+
+TEST(HostileStreamTest, PFrameWithoutReferenceFails) {
+  for (const std::vector<uint8_t>& first :
+       std::vector<std::vector<uint8_t>>{{'P', kSkipMb},
+                                         {'P', kInterMb, 0, 0, 0},
+                                         {'P', kIntraMb, 0}}) {
+    ExpectEveryPathFails(HandBuiltSource(16, 16, {first}), 0,
+                         "first frame mode " + std::to_string(first[1]));
+  }
+  // A later I frame opens its own GOP and decodes; going back to the
+  // reference-less first frame must still fail rather than predict from
+  // whatever this thread decoded last.
+  const media::CodedVideoSource source =
+      HandBuiltSource(16, 16, {{'P', kSkipMb}, GreyIntraFrame()});
+  ASSERT_TRUE(source.GetFrame(1).ok());
+  EXPECT_TRUE(source.GetFrame(0).status().IsParseError());
+  ASSERT_TRUE(source.DecodeGop(1).ok());
+}
+
+TEST(HostileStreamTest, ByteFlipsInPFramesFailCleanly) {
+  media::EncodedVideo encoded = EncodeSmall();
+  const std::vector<uint8_t> bytes = encoded.Serialize();
+  // Payload offset of every frame in the serialized stream.
+  std::vector<size_t> payload_at;
+  size_t pos = 28;
+  for (int64_t f = 0; f < encoded.num_frames(); ++f) {
+    payload_at.push_back(pos + 4);
+    pos += 4 + encoded.FrameBits(f).size() + 9;
+  }
+  ASSERT_EQ(pos, bytes.size());
+  Rng rng(2024);
+  int failed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    int64_t f = 0;
+    while (encoded.FrameBits(f)[0] != 'P') {
+      f = rng.NextInt(1, encoded.num_frames() - 1);
+    }
+    std::vector<uint8_t> corrupt = bytes;
+    const size_t size = encoded.FrameBits(f).size();
+    const int flips = static_cast<int>(rng.NextInt(1, 4));
+    for (int i = 0; i < flips; ++i) {
+      // Keep the frame marker: a P frame's own macroblock data is the
+      // target (a flipped marker only re-partitions the GOPs).
+      const size_t at = payload_at[static_cast<size_t>(f)] +
+                        static_cast<size_t>(rng.NextInt(
+                            1, static_cast<int64_t>(size) - 1));
+      corrupt[at] ^= static_cast<uint8_t>(rng.NextInt(1, 255));
+    }
+    auto video = media::EncodedVideo::Deserialize(corrupt);
+    ASSERT_TRUE(video.ok()) << video.status().ToString();
+    const media::CodedVideoSource source(std::move(video).TakeValue());
+    const int64_t first = source.encoded().Gops()[static_cast<size_t>(
+        source.encoded().GopOfFrame(f))].first_frame;
+    for (int64_t g = first; g <= f; ++g) {
+      auto frame = source.GetFrame(g);
+      if (!frame.ok()) {
+        EXPECT_TRUE(frame.status().IsParseError()) << frame.status().ToString();
+        EXPECT_EQ(g, f) << "only the corrupted frame may fail";
+        ++failed;
+        break;
+      }
+    }
+    auto gop = source.DecodeGop(source.encoded().GopOfFrame(f));
+    EXPECT_TRUE(gop.ok() || gop.status().IsParseError())
+        << gop.status().ToString();
+  }
+  // Some flips must be caught, or the sweep exercised no error path.
+  EXPECT_GT(failed, 0);
 }
 
 }  // namespace
