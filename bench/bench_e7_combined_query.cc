@@ -21,6 +21,8 @@
 #include "engine/query_engine.h"
 #include "engine/query_language.h"
 #include "media/tennis_synthesizer.h"
+#include "oracles/fixed_order.h"
+#include "oracles/reference_ops.h"
 #include "storage/ops.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -452,8 +454,8 @@ void RunColumnarScale() {
 
 // ---------------------------------------------------------------------------
 // E7d — the cost-based multi-modal planner against the fixed-order pipeline
-// (same DigitalLibrary, `set_planner_enabled(false)` selects the reference
-// path). The corpus is large enough that predicate order, the filtered
+// (same DigitalLibrary; the off-leg runs the test-only SearchFixedOrder
+// oracle). The corpus is large enough that predicate order, the filtered
 // DAAT, and short-circuits dominate; results must stay bit-identical.
 
 /// A 50k-player tournament site with 20k interviews and no videos: big
@@ -591,20 +593,20 @@ void RunPlannerVariants() {
               "on_p50", "on_p99", "speedup", "hits", "same");
   for (const Variant& variant : variants) {
     auto run = [&](bool planner_on) {
-      library->set_planner_enabled(planner_on);
       std::vector<double> ms;
       ms.reserve(kReps);
       std::vector<engine::SceneHit> hits;
       for (int rep = 0; rep < kReps; ++rep) {
         bench::WallTimer timer;
-        hits = library->Search(variant.query).TakeValue();
+        hits = (planner_on ? library->Search(variant.query)
+                           : engine::SearchFixedOrder(*library, variant.query))
+                   .TakeValue();
         ms.push_back(timer.Millis());
       }
       return std::make_pair(std::move(hits), std::move(ms));
     };
     auto [off_hits, off_ms] = run(false);
     auto [on_hits, on_ms] = run(true);
-    library->set_planner_enabled(true);
     const bool identical = same_hits(off_hits, on_hits);
     const double off_p50 = bench::Percentile(off_ms, 0.5);
     const double on_p50 = bench::Percentile(on_ms, 0.5);

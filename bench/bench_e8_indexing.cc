@@ -19,6 +19,8 @@
 #include "engine/digital_library.h"
 #include "grammar/fde.h"
 #include "media/tennis_synthesizer.h"
+#include "oracles/fixed_order.h"
+#include "oracles/reference_ops.h"
 #include "storage/ops.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -274,20 +276,20 @@ void RunEventPlannerScale() {
   query.event = "net_play";
 
   auto run = [&](bool planner_on) {
-    library->set_planner_enabled(planner_on);
     std::vector<double> ms;
     ms.reserve(kReps);
     std::vector<engine::SceneHit> hits;
     for (int rep = 0; rep < kReps; ++rep) {
       bench::WallTimer timer;
-      hits = library->Search(query).TakeValue();
+      hits = (planner_on ? library->Search(query)
+                         : engine::SearchFixedOrder(*library, query))
+                 .TakeValue();
       ms.push_back(timer.Millis());
     }
     return std::make_pair(std::move(hits), std::move(ms));
   };
   auto [off_hits, off_ms] = run(false);
   auto [on_hits, on_ms] = run(true);
-  library->set_planner_enabled(true);
 
   bool identical = off_hits.size() == on_hits.size();
   for (size_t i = 0; identical && i < on_hits.size(); ++i) {

@@ -26,11 +26,39 @@ DigitalLibrary::DigitalLibrary(webspace::WebspaceStore store)
 
 Result<std::unique_ptr<DigitalLibrary>> DigitalLibrary::Create(
     webspace::WebspaceStore store) {
+  // Everything Search reads from the store is checked once, here, so no
+  // query can fail on a schema gap that only some row sets would reach.
+  const webspace::ConceptSchema& schema = store.schema();
   for (const char* cls : {"Player", "Tournament", "Interview", "Video"}) {
-    if (!store.schema().HasClass(cls)) {
+    if (!schema.HasClass(cls)) {
       return Status::InvalidArgument(
           StringFormat("store lacks tournament class '%s'", cls));
     }
+  }
+  const webspace::AssociationDef kAssociations[] = {
+      {"won", "Player", "Tournament"},
+      {"interviewed_in", "Player", "Interview"},
+      {"plays_in", "Player", "Video"}};
+  for (const webspace::AssociationDef& want : kAssociations) {
+    Result<const webspace::AssociationDef*> have =
+        schema.FindAssociation(want.name);
+    if (!have.ok() || have.value()->from_class != want.from_class ||
+        have.value()->to_class != want.to_class) {
+      return Status::InvalidArgument(StringFormat(
+          "store lacks tournament association '%s' (%s -> %s)",
+          want.name.c_str(), want.from_class.c_str(), want.to_class.c_str()));
+    }
+  }
+  COBRA_ASSIGN_OR_RETURN(const webspace::ClassDef* player,
+                         schema.FindClass("Player"));
+  const bool has_name = std::any_of(
+      player->attributes.begin(), player->attributes.end(),
+      [](const webspace::AttributeDef& attr) {
+        return attr.name == "name" && attr.type == storage::DataType::kString;
+      });
+  if (!has_name) {
+    return Status::InvalidArgument(
+        "store lacks tournament attribute 'Player.name' (string)");
   }
   return std::unique_ptr<DigitalLibrary>(new DigitalLibrary(std::move(store)));
 }
@@ -147,31 +175,25 @@ Result<SimilarNeighbors> SimilarStage(const similarity::SignatureIndex& index,
                                k);
 }
 
-Result<std::vector<int64_t>> DigitalLibrary::ConceptPlayers(
-    const CombinedQuery& query) const {
-  webspace::ClassSelection selection{"Player", query.player_predicates};
-  COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> players,
-                         webspace::SelectObjects(store_, selection));
-  if (!query.require_champion && query.won_year < 0) return players;
-
-  webspace::ClassSelection tournaments{"Tournament", {}};
+Status DigitalLibrary::ValidateQuery(const CombinedQuery& query) const {
+  COBRA_ASSIGN_OR_RETURN(const storage::Table* players,
+                         store_.ClassTable("Player"));
+  for (const storage::Predicate& pred : query.player_predicates) {
+    COBRA_RETURN_NOT_OK(storage::ValidatePredicate(*players, pred));
+  }
   if (query.won_year >= 0) {
-    tournaments.predicates.push_back(
-        {"year", storage::CompareOp::kEq, query.won_year});
+    COBRA_ASSIGN_OR_RETURN(const storage::Table* tournaments,
+                           store_.ClassTable("Tournament"));
+    COBRA_RETURN_NOT_OK(storage::ValidatePredicate(
+        *tournaments, {"year", storage::CompareOp::kEq, query.won_year}));
   }
-  COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> tournament_oids,
-                         webspace::SelectObjects(store_, tournaments));
-  COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> champions,
-                         store_.TraverseReverse("won", tournament_oids));
-  std::set<int64_t> champion_set(champions.begin(), champions.end());
-  std::vector<int64_t> out;
-  for (int64_t p : players) {
-    if (champion_set.count(p)) out.push_back(p);
+  if (!query.text.empty()) {
+    COBRA_RETURN_NOT_OK(interviews_.AnalyzeQuery(query.text).status());
   }
-  return out;
+  return Status::OK();
 }
 
-Result<std::map<int64_t, double>> DigitalLibrary::TextPlayers(
+Result<std::map<int64_t, double>> DigitalLibrary::TextStage(
     const std::string& text, size_t top_k, text::SearchStats* stats) const {
   COBRA_ASSIGN_OR_RETURN(std::vector<text::SearchHit> hits,
                          interviews_.SearchTopN(text, top_k, stats));
@@ -192,171 +214,21 @@ Result<std::vector<SceneHit>> DigitalLibrary::Search(
     planner::PlanExplain* explain,
     const std::map<int64_t, double>* text_seed,
     const SimilarSeed* similar_seed) const {
-  if (!planner_enabled_) {
-    if (explain) *explain = planner::PlanExplain{};
-    return SearchFixedOrder(query, stats, text_seed, similar_seed);
-  }
-  // Lazy-validation parity: the fixed order never checks a predicate past
-  // an empty selection (storage::SelectAll stops refining), so whether a
-  // malformed predicate errors depends on actual row sets. Those rare
-  // queries go to the reference path verbatim.
-  if (auto players = store_.ClassTable("Player"); players.ok()) {
-    for (const storage::Predicate& pred : query.player_predicates) {
-      if (!storage::ValidatePredicate(*players.value(), pred).ok()) {
-        if (explain) *explain = planner::PlanExplain{};
-        return SearchFixedOrder(query, stats, text_seed, similar_seed);
-      }
-    }
-  }
-  planner::LibraryView view{&store_, &interviews_, &meta_index_,
-                            &indexed_videos_, &signatures_};
-  planner::PlanExplain local;
-  return planner::SearchPlanned(view, query, stats,
-                                explain ? explain : &local, text_seed,
+  return planner::SearchPlanned(*this, query, stats, explain, text_seed,
                                 similar_seed);
 }
 
 Result<planner::PlanExplain> DigitalLibrary::ExplainSearch(
     const CombinedQuery& query) const {
-  planner::LibraryView view{&store_, &interviews_, &meta_index_,
-                            &indexed_videos_, &signatures_};
   planner::PlanExplain explain;
-  COBRA_RETURN_NOT_OK(
-      planner::SearchPlanned(view, query, nullptr, &explain).status());
+  COBRA_RETURN_NOT_OK(Search(query, nullptr, &explain).status());
   return explain;
-}
-
-Result<std::vector<SceneHit>> DigitalLibrary::SearchFixedOrder(
-    const CombinedQuery& query, text::SearchStats* stats,
-    const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) const {
-  if (stats) *stats = text::SearchStats{};
-  COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> players, ConceptPlayers(query));
-
-  std::map<int64_t, double> text_scores;
-  if (!query.text.empty()) {
-    if (text_seed) {
-      // Error parity with the unseeded path: a zero-budget probe surfaces
-      // the same not-finalized / malformed-query errors SearchTopN would.
-      COBRA_RETURN_NOT_OK(interviews_.SearchTopN(query.text, 0).status());
-      text_scores = *text_seed;
-    } else {
-      COBRA_ASSIGN_OR_RETURN(
-          text_scores, TextPlayers(query.text, query.text_top_k, stats));
-    }
-    std::vector<int64_t> filtered;
-    for (int64_t p : players) {
-      if (text_scores.count(p)) filtered.push_back(p);
-    }
-    players = std::move(filtered);
-  }
-
-  // The similar stage runs unconditionally after the text stage (stage
-  // order: concept -> text -> similar -> event) so an unresolvable probe
-  // surfaces its NotFound even when the player set is already empty —
-  // error parity the planner and serving tier replicate. A frontend seed
-  // means the probe was already resolved globally; the local (partition-
-  // scoped) index is not consulted at all.
-  const bool has_similar = query.similar_video >= 0;
-  SimilarNeighbors similar;
-  if (has_similar) {
-    if (similar_seed) {
-      similar = similar_seed->neighbors;
-    } else {
-      COBRA_ASSIGN_OR_RETURN(similar, SimilarStage(signatures_, query));
-    }
-  }
-
-  std::vector<SceneHit> out;
-  std::set<int64_t> indexed(indexed_videos_.begin(), indexed_videos_.end());
-  for (int64_t player : players) {
-    COBRA_ASSIGN_OR_RETURN(storage::Value name_value,
-                           store_.GetAttribute("Player", player, "name"));
-    std::string name = std::get<std::string>(name_value);
-    double text_score =
-        text_scores.count(player) ? text_scores.at(player) : 0.0;
-
-    if (query.event.empty() && !has_similar) {
-      SceneHit hit;
-      hit.player_oid = player;
-      hit.player_name = name;
-      hit.text_score = text_score;
-      out.push_back(std::move(hit));
-      continue;
-    }
-
-    COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
-                           store_.Traverse("plays_in", {player}));
-    for (int64_t video : videos) {
-      if (!indexed.count(video)) continue;
-      const std::vector<SimilarShot>* neighbors = nullptr;
-      if (has_similar) {
-        auto it = similar.find(video);
-        if (it == similar.end()) continue;
-        neighbors = &it->second;
-      }
-
-      if (query.event.empty()) {
-        // Similar-only content condition: every neighbor shot of a video
-        // the player plays in is an answer scene.
-        for (const SimilarShot& shot : *neighbors) {
-          SceneHit hit;
-          hit.player_oid = player;
-          hit.player_name = name;
-          hit.video_oid = video;
-          hit.range = shot.range;
-          hit.text_score = text_score;
-          hit.similarity = shot.distance;
-          out.push_back(std::move(hit));
-        }
-        continue;
-      }
-
-      COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
-                             store_.Roles("plays_in", player, video));
-      std::set<int64_t> role_set(roles.begin(), roles.end());
-      COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                             meta_index_.FindScenes(query.event, video));
-      for (const core::Scene& scene : scenes) {
-        // A scene matches if it shows the player's court side, or if it is
-        // court-level (player < 0: serves, rallies involve both players).
-        if (scene.player >= 0 && !role_set.count(scene.player)) continue;
-        // Event + similar: the scene must overlap a neighbor shot of the
-        // same video; it scores the best (smallest) overlapping key.
-        double similarity = -1.0;
-        if (neighbors) {
-          bool overlapped = false;
-          for (const SimilarShot& shot : *neighbors) {
-            if (!scene.range.Overlaps(shot.range)) continue;
-            if (!overlapped || shot.distance < similarity) {
-              similarity = shot.distance;
-            }
-            overlapped = true;
-          }
-          if (!overlapped) continue;
-        }
-        SceneHit hit;
-        hit.player_oid = player;
-        hit.player_name = name;
-        hit.video_oid = video;
-        hit.range = scene.range;
-        hit.event = scene.event;
-        hit.text_score = text_score;
-        hit.similarity = similarity;
-        out.push_back(std::move(hit));
-      }
-    }
-  }
-  // Total deterministic order: relevance first, then every remaining field
-  // as a tie-break so equal-score hits never depend on traversal order.
-  std::sort(out.begin(), out.end(), SceneHitLess);
-  return out;
 }
 
 Result<std::vector<SceneHit>> DigitalLibrary::SearchKeywordOnly(
     const std::string& text, size_t top_k, text::SearchStats* stats) const {
   if (stats) *stats = text::SearchStats{};
-  COBRA_ASSIGN_OR_RETURN(auto player_scores, TextPlayers(text, top_k, stats));
+  COBRA_ASSIGN_OR_RETURN(auto player_scores, TextStage(text, top_k, stats));
   std::vector<SceneHit> out;
   for (const auto& [player, score] : player_scores) {
     SceneHit hit;

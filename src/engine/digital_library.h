@@ -11,7 +11,10 @@
 /// past, in which they approach the net."
 ///
 /// The engine binds to the tournament schema of
-/// webspace::SiteSynthesizer::TournamentSchema().
+/// webspace::SiteSynthesizer::TournamentSchema(). Every combined query runs
+/// through one path, the cost-based planner (engine/planner), and is
+/// validated before any stage runs, so whether it fails depends on the
+/// query alone.
 
 #include <cstdint>
 #include <map>
@@ -74,8 +77,7 @@ struct SimilarShot {
   double distance = 0.0;
 };
 
-/// The similar stage's result: neighbor shots grouped by video oid (the
-/// shape both search paths and the planner consume).
+/// The similar stage's result: neighbor shots grouped by video oid.
 using SimilarNeighbors = std::map<int64_t, std::vector<SimilarShot>>;
 
 /// Resolved similar stage fanned out shard-wide by the serving frontend —
@@ -97,8 +99,8 @@ Result<vision::ShotSignature> ResolveProbeSignature(
 
 /// Groups a *sorted* candidate list (SearchSimilar order) into
 /// SimilarNeighbors: drops the probe shot itself, truncates to `k`
-/// neighbors, groups by video. Shared by the library paths and the
-/// serving frontend's cross-shard merge.
+/// neighbors, groups by video. Shared by the library and the serving
+/// frontend's cross-shard merge.
 SimilarNeighbors BuildSimilarNeighbors(
     const std::vector<similarity::Neighbor>& candidates,
     const CombinedQuery& query, size_t k);
@@ -116,7 +118,10 @@ size_t EffectiveSimilarK(const similarity::SignatureIndex& index,
 
 class DigitalLibrary {
  public:
-  /// Takes ownership of a store conforming to the tournament schema.
+  /// Takes ownership of a store conforming to the tournament schema. Checks
+  /// everything Search reads from the store: the four classes, the `won`,
+  /// `interviewed_in` and `plays_in` associations (Player to Tournament,
+  /// Interview and Video) and the string attribute `Player.name`.
   static Result<std::unique_ptr<DigitalLibrary>> Create(
       webspace::WebspaceStore store);
 
@@ -173,16 +178,23 @@ class DigitalLibrary {
   /// caches key on it: an entry tagged with an older epoch is stale.
   int64_t index_epoch() const { return index_epoch_; }
 
-  /// The combined query. Results are fully deterministically ordered:
-  /// text score descending, then video id, then scene start, then scene
-  /// end, then player oid, then event name; text_score carries the
-  /// interview relevance when a text condition was present (0 otherwise).
-  /// When `stats` is non-null it receives the text-index work counters of
-  /// this query (zeroed when the query has no text condition).
-  ///
-  /// Dispatches to the cost-based planner (DESIGN.md §4g) when
-  /// planner_enabled() — bit-identical results to SearchFixedOrder, usually
-  /// much faster. When `explain` is non-null it receives the executed plan.
+  /// Checks `query` without evaluating it, in this order: every player
+  /// predicate (column exists, literal type matches), the won-year
+  /// predicate, then the text condition (index finalized, some indexable
+  /// term). Search fails with exactly this status on such a query, whatever
+  /// rows exist. The similar_to probe is resolved by Search itself (NotFound
+  /// when no signature covers it), because signatures are partitioned
+  /// across serving shards while everything checked here is replicated.
+  Status ValidateQuery(const CombinedQuery& query) const;
+
+  /// The combined query, answered by the cost-based planner (DESIGN.md
+  /// §4g). Results are fully deterministically ordered: text score
+  /// descending, then video id, then scene start, then scene end, then
+  /// player oid, then event name; text_score carries the interview
+  /// relevance when a text condition was present (0 otherwise). When
+  /// `stats` is non-null it receives the text-index work counters of this
+  /// query (zeroed when the query has no text condition). When `explain` is
+  /// non-null it receives the executed plan.
   ///
   /// `text_seed` is the shard-aware serving hook (DESIGN.md §4i): a
   /// player→score map computed by TextStage() on a library with an
@@ -202,35 +214,19 @@ class DigitalLibrary {
       const std::map<int64_t, double>* text_seed = nullptr,
       const SimilarSeed* similar_seed = nullptr) const;
 
-  /// The original fixed-order pipeline (concept scan -> text -> events),
-  /// kept verbatim as the reference oracle the planner is validated
-  /// against and as the planner-off baseline for E7/E8. Accepts the same
-  /// `text_seed` hook as Search.
-  Result<std::vector<SceneHit>> SearchFixedOrder(
-      const CombinedQuery& query, text::SearchStats* stats = nullptr,
-      const std::map<int64_t, double>* text_seed = nullptr,
-      const SimilarSeed* similar_seed = nullptr) const;
-
   /// The text stage in isolation: players scored by their best interview
   /// for `text` (top_k interviews ranked, walked back through
-  /// "interviewed_in"). This is exactly the map both Search paths compute
-  /// internally for a text condition — exposed so the serving frontend can
-  /// evaluate the replicated text modality once per query and pass it to
-  /// every shard as `text_seed`.
+  /// "interviewed_in"). This is exactly the map Search computes internally
+  /// for a text condition — exposed so the serving frontend can evaluate
+  /// the replicated text modality once per query and pass it to every
+  /// shard as `text_seed`.
   Result<std::map<int64_t, double>> TextStage(
       const std::string& text, size_t top_k,
-      text::SearchStats* stats = nullptr) const {
-    return TextPlayers(text, top_k, stats);
-  }
+      text::SearchStats* stats = nullptr) const;
 
   /// Plans and executes `query`, returning only the explain record
   /// (chosen stage order, estimated vs actual cardinalities).
   Result<planner::PlanExplain> ExplainSearch(const CombinedQuery& query) const;
-
-  /// Toggles the cost-based planner (default on). Off routes Search
-  /// through SearchFixedOrder.
-  void set_planner_enabled(bool enabled) { planner_enabled_ = enabled; }
-  bool planner_enabled() const { return planner_enabled_; }
 
   /// Keyword-only baseline (what a flat web search engine sees, paper §2):
   /// ranks players by their best interview's tf-idf score for `text`.
@@ -250,24 +246,18 @@ class DigitalLibrary {
  private:
   explicit DigitalLibrary(webspace::WebspaceStore store);
 
-  Result<std::vector<int64_t>> ConceptPlayers(const CombinedQuery& query) const;
-  Result<std::map<int64_t, double>> TextPlayers(const std::string& text,
-                                                size_t top_k,
-                                                text::SearchStats* stats) const;
-
   webspace::WebspaceStore store_;
   text::InvertedIndex interviews_;
   core::MetaIndex meta_index_;
   std::vector<int64_t> indexed_videos_;
   similarity::SignatureIndex signatures_;
   int64_t index_epoch_ = 0;
-  bool planner_enabled_ = true;
 };
 
-/// The total order both Search paths sort hits by (text score descending,
-/// then similarity distance ascending, then video, scene start, scene end,
-/// player oid, event name). Shared so the planner is bit-identical to the
-/// fixed-order pipeline by construction once the hit multisets agree.
+/// The total order Search sorts hits by (text score descending, then
+/// similarity distance ascending, then video, scene start, scene end,
+/// player oid, event name). Shared with the serving merge and the test
+/// oracles, so equal hit multisets imply bit-identical output.
 bool SceneHitLess(const SceneHit& a, const SceneHit& b);
 
 }  // namespace cobra::engine

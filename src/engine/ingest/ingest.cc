@@ -179,6 +179,10 @@ Status ShardedIngestSink::Barrier() {
     // old generation's snapshots; mutate it only once its lease is ours
     // alone. Queries are bounded (deadline or shed), so this drains.
     while (retired.use_count() > 1) std::this_thread::yield();
+    // use_count() is a relaxed load; dropping the last reference is an
+    // acquire, which orders every former reader's accesses before the
+    // catch-up writes below.
+    retired.reset();
     const size_t catchup = 1 - shard.front;
     const uint64_t total = shard.log_base + shard.log.size();
     for (uint64_t i = shard.applied[catchup]; i < total; ++i) {

@@ -6,10 +6,6 @@ namespace cobra::engine::planner {
 
 std::string PlanExplain::ToString() const {
   std::string out = "plan:";
-  if (!used_planner) {
-    out += " fixed-order (planner disabled)";
-    return out;
-  }
   auto flag = [&](bool set, const char* name) {
     if (set) {
       out += ' ';

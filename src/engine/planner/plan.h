@@ -2,11 +2,12 @@
 
 /// \file plan.h
 /// The explain surface of the cost-based combined-query planner (DESIGN.md
-/// §4g): one PlanStep per executed stage with its estimated vs actual
-/// cardinality, plus the plan-shape decisions the cost model took. Results
-/// are never affected by any of this — the planner is bit-identical to
-/// `DigitalLibrary::SearchFixedOrder` — so the explain output is pure
-/// observability, wired into `QueryEngine` stats and tests.
+/// §4g), which answers every `DigitalLibrary::Search`: one PlanStep per
+/// executed stage with its estimated vs actual cardinality, plus the
+/// plan-shape decisions the cost model took. Results never depend on any
+/// of this — every plan is bit-identical to the fixed-order test oracle —
+/// so the explain output is pure observability, wired into `QueryEngine`
+/// stats and tests.
 
 #include <cstdint>
 #include <string>
@@ -27,9 +28,6 @@ struct PlanStep {
 
 /// The chosen physical plan of one combined query.
 struct PlanExplain {
-  /// False when the fixed-order reference pipeline answered the query
-  /// (planner disabled).
-  bool used_planner = false;
   /// A provably-empty modality ended the plan before the remaining stages.
   bool short_circuited = false;
   /// The text modality ran first and seeded the candidate set.

@@ -54,88 +54,40 @@ std::vector<int64_t> RowsToOids(const Table& players, const std::vector<int64_t>
 }
 
 Result<std::vector<SceneHit>> SearchPlannedImpl(
-    const LibraryView& view, const CombinedQuery& query,
+    const DigitalLibrary& library, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain& ex,
     const std::map<int64_t, double>* text_seed,
     const SimilarSeed* similar_seed) {
-  const WebspaceStore& store = *view.store;
-  const text::InvertedIndex& interviews = *view.interviews;
-  const core::MetaIndex& meta = *view.meta_index;
-  const std::vector<int64_t>& indexed_videos = *view.indexed_videos;
-  // Views built without a signature index behave like one with no records
-  // (every probe resolves to NotFound) — the fixed order's behavior on an
-  // empty index.
-  static const similarity::SignatureIndex kEmptySignatures;
-  const similarity::SignatureIndex& sig_index =
-      view.signatures != nullptr ? *view.signatures : kEmptySignatures;
+  const WebspaceStore& store = library.store();
+  const text::InvertedIndex& interviews = library.interviews();
+  const core::MetaIndex& meta = library.meta_index();
+  const std::vector<int64_t>& indexed_videos = library.indexed_videos();
+  const similarity::SignatureIndex& sig_index = library.signatures();
 
   if (stats) *stats = text::SearchStats{};
-  ex.used_planner = true;
 
   const bool has_champ = query.require_champion || query.won_year >= 0;
   const bool has_text = !query.text.empty();
   const bool has_event = !query.event.empty();
   const bool has_similar = query.similar_video >= 0;
-  // A frontend seed replaces the whole similar stage (it touches nothing
-  // but the signature index, so unlike the text seed it is usable
-  // unconditionally).
+  // A frontend seed replaces the whole text or similar stage.
+  const bool seeded = text_seed != nullptr && has_text;
   const bool similar_seeded = similar_seed != nullptr && has_similar;
 
-  // --- Upfront validation, in the fixed pipeline's error order ------------
-  // The fixed order hits these errors unconditionally (before any stage can
-  // come up empty), so every short-circuit below must surface them too.
+  // --- Upfront validation -------------------------------------------------
+  // Every error the query can raise is raised here, before any stage runs:
+  // player predicates, the won-year predicate, the text condition, then the
+  // similar_to probe (skipped when seeded: the frontend resolved it
+  // globally). Create checked the schema the stages read, so no later
+  // step can fail and every short-circuit below is exact.
+  COBRA_RETURN_NOT_OK(library.ValidateQuery(query));
+  if (has_similar && !similar_seeded) {
+    COBRA_RETURN_NOT_OK(ResolveProbeSignature(sig_index, query).status());
+  }
   COBRA_ASSIGN_OR_RETURN(const Table* players_table, store.ClassTable("Player"));
-  for (const Predicate& pred : query.player_predicates) {
-    COBRA_RETURN_NOT_OK(storage::ValidatePredicate(*players_table, pred));
-  }
+  const Predicate year_pred{"year", storage::CompareOp::kEq, query.won_year};
 
-  const Table* tournaments_table = nullptr;
-  Predicate year_pred;
-  if (has_champ) {
-    COBRA_ASSIGN_OR_RETURN(tournaments_table, store.ClassTable("Tournament"));
-    if (query.won_year >= 0) {
-      year_pred = {"year", storage::CompareOp::kEq, query.won_year};
-      COBRA_RETURN_NOT_OK(storage::ValidatePredicate(*tournaments_table, year_pred));
-    }
-    // The fixed order calls TraverseReverse("won", ...) even with an empty
-    // tournament set, which fails on a missing association.
-    COBRA_RETURN_NOT_OK(store.AssociationTable("won").status());
-  }
-
-  // Analyzer + finalized checks run before SearchTopN's n == 0 early-out,
-  // so this surfaces exactly the text errors the fixed order would.
-  auto text_status = [&]() -> Status {
-    if (!has_text) return Status::OK();
-    return interviews.SearchTopN(query.text, 0).status();
-  };
-
-  // The fixed order resolves the similar probe unconditionally after the
-  // text stage, so every short-circuit past that point must surface its
-  // NotFound too (probe resolution is the stage's only fallible step).
-  auto similar_status = [&]() -> Status {
-    if (!has_similar || similar_seeded) return Status::OK();
-    return ResolveProbeSignature(sig_index, query).status();
-  };
-
-  // The fixed order only touches "interviewed_in" when a text hit exists,
-  // and "plays_in"/the name attribute only when a player survives — so a
-  // short-circuit that skips those stages is error-identical only when the
-  // skipped lookups cannot fail.
-  const bool text_skip_safe =
-      !has_text || store.AssociationTable("interviewed_in").ok();
-  // The frontend seed stands in for SearchTopN + the "interviewed_in"
-  // walk-back, so it is only taken when that walk-back could not have
-  // errored; otherwise the seed is ignored and the local path (with its
-  // exact error behavior) runs.
-  const bool seeded = text_seed != nullptr && has_text &&
-                      store.AssociationTable("interviewed_in").ok();
-  const bool event_skip_safe = players_table->ColumnIndex("name").ok() &&
-                               store.AssociationTable("plays_in").ok();
-
-  auto finish_empty =
-      [&](const std::string& why) -> Result<std::vector<SceneHit>> {
-    COBRA_RETURN_NOT_OK(text_status());
-    COBRA_RETURN_NOT_OK(similar_status());
+  auto finish_empty = [&](const std::string& why) {
     ex.short_circuited = true;
     ex.steps.push_back({"short_circuit: " + why, 0.0, 0});
     return std::vector<SceneHit>{};
@@ -163,9 +115,11 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
 
   bool champ_empty = false;
   double est_champions = 0.0;
-  const Table* won_table = nullptr;
   if (has_champ) {
-    COBRA_ASSIGN_OR_RETURN(won_table, store.AssociationTable("won"));
+    COBRA_ASSIGN_OR_RETURN(const Table* tournaments_table,
+                           store.ClassTable("Tournament"));
+    COBRA_ASSIGN_OR_RETURN(const Table* won_table,
+                           store.AssociationTable("won"));
     const int64_t won_rows = won_table->num_rows();
     if (won_rows == 0) {
       champ_empty = true;
@@ -212,14 +166,12 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   }
 
   // --- Provably-empty short-circuits --------------------------------------
-  if (text_skip_safe) {
-    if (total_players == 0) return finish_empty("player table empty");
-    if (pred_empty) return finish_empty("player predicate provably empty");
-    if (champ_empty) return finish_empty("champion set provably empty");
-    if (event_provably_empty && event_skip_safe) {
-      return finish_empty(indexed_videos.empty() ? "no indexed videos"
-                                                 : "event name unknown");
-    }
+  if (total_players == 0) return finish_empty("player table empty");
+  if (pred_empty) return finish_empty("player predicate provably empty");
+  if (champ_empty) return finish_empty("champion set provably empty");
+  if (event_provably_empty) {
+    return finish_empty(indexed_videos.empty() ? "no indexed videos"
+                                               : "event name unknown");
   }
 
   // --- Plan-shape decisions ------------------------------------------------
@@ -242,8 +194,7 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   // terms' document frequencies bounds it from above). It pays when the
   // concept side prunes candidates, making whole posting blocks skippable.
   const bool filter_eligible =
-      has_text && static_cast<double>(query.text_top_k) >= sum_df &&
-      store.AssociationTable("interviewed_in").ok();
+      has_text && static_cast<double>(query.text_top_k) >= sum_df;
   const bool use_filtered = !seeded && filter_eligible &&
                             (n_preds > 0 || has_champ) &&
                             est_concept <= 0.5 * std::max<int64_t>(1, total_players);
@@ -319,7 +270,6 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
 
   if (ex.text_first) {
     if (seeded) {
-      COBRA_RETURN_NOT_OK(interviews.SearchTopN(query.text, 0).status());
       text_scores = *text_seed;
       ex.text_seeded = true;
     } else {
@@ -403,12 +353,9 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
       }
     }
 
-    if (players.empty() && text_skip_safe) {
-      return finish_empty("concept stage empty");
-    }
+    if (players.empty()) return finish_empty("concept stage empty");
 
     if (has_text && seeded) {
-      COBRA_RETURN_NOT_OK(interviews.SearchTopN(query.text, 0).status());
       text_scores = *text_seed;
       ex.text_seeded = true;
       ex.steps.push_back({"text:frontend_seed", est_text_players,
@@ -446,9 +393,6 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   }
 
   // --- Similar stage -------------------------------------------------------
-  // Runs before the empty-players early return below: the fixed order
-  // resolves the probe even when no player survived, and its NotFound must
-  // win over an empty result.
   SimilarNeighbors similar;
   if (has_similar) {
     const double est_k =
@@ -542,18 +486,14 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
         }
       }
     }
-  } else if (event_provably_empty && event_skip_safe) {
-    ex.steps.push_back({"events: provably empty, skipped", 0.0, 0});
   } else {
     // Estimated (player, indexed video) pairs decide between one grouped
-    // events scan and the per-pair FindScenes rescans of the fixed order.
+    // events scan and per-pair FindScenes rescans.
     double fanout = 1.0;
-    if (auto plays = store.AssociationTable("plays_in"); plays.ok()) {
-      const Table* pt = plays.value();
-      if (pt->num_rows() > 0) {
-        COBRA_ASSIGN_OR_RETURN(int64_t from_ndv, pt->Ndv(0));
-        fanout = pt->num_rows() / std::max<double>(1.0, from_ndv);
-      }
+    COBRA_ASSIGN_OR_RETURN(const Table* plays, store.AssociationTable("plays_in"));
+    if (plays->num_rows() > 0) {
+      COBRA_ASSIGN_OR_RETURN(int64_t from_ndv, plays->Ndv(0));
+      fanout = plays->num_rows() / std::max<double>(1.0, from_ndv);
     }
     const double est_pairs = players.size() * fanout;
     ex.event_single_scan = est_pairs >= 2.0;
@@ -650,8 +590,7 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
 
   ex.steps.push_back({"hits", static_cast<double>(out.size()),
                       static_cast<int64_t>(out.size())});
-  // The shared total order makes the output bit-identical to the fixed
-  // pipeline whenever the hit multisets agree.
+  // The shared total order makes equal hit multisets bit-identical.
   std::sort(out.begin(), out.end(), SceneHitLess);
   return out;
 }
@@ -659,13 +598,13 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
 }  // namespace
 
 Result<std::vector<SceneHit>> SearchPlanned(
-    const LibraryView& view, const CombinedQuery& query,
+    const DigitalLibrary& library, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain* explain,
     const std::map<int64_t, double>* text_seed,
     const SimilarSeed* similar_seed) {
   PlanExplain ex;
   Result<std::vector<SceneHit>> result =
-      SearchPlannedImpl(view, query, stats, ex, text_seed, similar_seed);
+      SearchPlannedImpl(library, query, stats, ex, text_seed, similar_seed);
   if (explain != nullptr) *explain = std::move(ex);
   return result;
 }

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file planner.h
-/// The cost-based combined-query planner (DESIGN.md §4g). Instead of the
-/// fixed concept -> text -> event pipeline of
-/// `DigitalLibrary::SearchFixedOrder`, `SearchPlanned` orders the stages
-/// and picks physical operators from exact table statistics
+/// The cost-based combined-query planner (DESIGN.md §4g) — the only
+/// evaluator behind `DigitalLibrary::Search`. `SearchPlanned` orders the
+/// stages and picks physical operators from exact table statistics
 /// (`storage::Table::Stats`, `storage::EstimateSelectivity`):
 ///   * attribute predicates run cheapest-and-most-selective first;
 ///   * the champion join runs before the attribute scan when the winners
@@ -18,9 +17,11 @@
 ///     rescans with one grouped scan when more than one pair is expected;
 ///   * provably-empty modalities (dictionary miss, empty zone range, no
 ///     indexed videos) short-circuit the whole plan.
-/// Results are bit-identical to the fixed order on every query, including
-/// error behavior: short-circuits still surface exactly the validation
-/// errors the fixed pipeline would have hit.
+/// Every error is raised up front, before any stage runs
+/// (`DigitalLibrary::ValidateQuery`, then the similar_to probe), so a
+/// short-circuit can never hide one. Results are bit-identical to the
+/// fixed concept -> text -> event pipeline kept as a test oracle
+/// (tests/oracles/fixed_order.h).
 
 #include <map>
 #include <vector>
@@ -30,21 +31,13 @@
 
 namespace cobra::engine::planner {
 
-/// Non-owning view of the DigitalLibrary internals the planner reads.
-struct LibraryView {
-  const webspace::WebspaceStore* store = nullptr;
-  const text::InvertedIndex* interviews = nullptr;
-  const core::MetaIndex* meta_index = nullptr;
-  const std::vector<int64_t>* indexed_videos = nullptr;
-  const similarity::SignatureIndex* signatures = nullptr;
-};
-
-/// Plans and executes `query`. `stats` (optional) receives the text-index
-/// work counters; `explain` (optional) receives the executed plan — written
-/// on success and on short-circuit, untouched when planning fails early.
+/// Plans and executes `query` over `library`'s public accessors. `stats`
+/// (optional) receives the text-index work counters; `explain` (optional)
+/// receives the executed plan.
 ///
 /// `text_seed` (optional) is a precomputed player→score text stage (see
-/// DigitalLibrary::TextStage); when usable it replaces the local DAAT run.
+/// DigitalLibrary::TextStage); when the query has a text condition it
+/// replaces the local DAAT run.
 /// The seed must come from an identical interview index + store, which the
 /// serving tier guarantees by replicating the text modality per shard.
 ///
@@ -53,7 +46,7 @@ struct LibraryView {
 /// similar_to condition, the neighbor set is taken verbatim instead of
 /// probing the local (partition-scoped) ANN index.
 Result<std::vector<SceneHit>> SearchPlanned(
-    const LibraryView& view, const CombinedQuery& query,
+    const DigitalLibrary& library, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain* explain,
     const std::map<int64_t, double>* text_seed = nullptr,
     const SimilarSeed* similar_seed = nullptr);

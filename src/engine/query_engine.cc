@@ -148,7 +148,7 @@ Result<std::vector<SceneHit>> QueryEngine::Search(
     planner::PlanExplain explain;
     Result<std::vector<SceneHit>> result =
         library_->Search(query, stats, &explain, text_seed, similar_seed);
-    if (result.ok() && explain.used_planner) {
+    if (result.ok()) {
       planner_plans_.fetch_add(1, std::memory_order_relaxed);
       if (explain.short_circuited) {
         planner_short_circuits_.fetch_add(1, std::memory_order_relaxed);

@@ -135,7 +135,7 @@ std::shared_ptr<const ServingFrontend::Snapshot> ServingFrontend::BuildSnapshot(
   return snap;
 }
 
-std::shared_ptr<const SimilarSeed> ServingFrontend::SimilarSeedFor(
+Result<std::shared_ptr<const SimilarSeed>> ServingFrontend::SimilarSeedFor(
     const CombinedQuery& query,
     const std::vector<std::shared_ptr<const Snapshot>>& snaps,
     size_t* probes_skipped) {
@@ -143,6 +143,7 @@ std::shared_ptr<const SimilarSeed> ServingFrontend::SimilarSeedFor(
   // exactly one shard. Resolve it there.
   const similarity::SignatureIndex* home = nullptr;
   vision::ShotSignature probe{};
+  Status unresolved;
   for (const auto& snap : snaps) {
     Result<vision::ShotSignature> resolved =
         ResolveProbeSignature(snap->library->signatures(), query);
@@ -151,8 +152,9 @@ std::shared_ptr<const SimilarSeed> ServingFrontend::SimilarSeedFor(
       home = &snap->library->signatures();
       break;
     }
+    unresolved = resolved.status();
   }
-  if (home == nullptr) return nullptr;
+  if (home == nullptr) return unresolved;
   const size_t k = EffectiveSimilarK(*home, query);
 
   // Candidate merge in Hamming-lower-bound order: per-shard exact
@@ -189,7 +191,7 @@ std::shared_ptr<const SimilarSeed> ServingFrontend::SimilarSeedFor(
   auto seed = std::make_shared<SimilarSeed>();
   seed->signature = probe;
   seed->neighbors = BuildSimilarNeighbors(merged, query, k);
-  return seed;
+  return std::shared_ptr<const SimilarSeed>(std::move(seed));
 }
 
 std::shared_ptr<const ServingFrontend::Snapshot> ServingFrontend::Acquire(
@@ -209,8 +211,9 @@ std::shared_ptr<const ServingFrontend::Snapshot> ServingFrontend::Acquire(
   return slot.snap;
 }
 
-std::shared_ptr<const std::map<int64_t, double>> ServingFrontend::TextSeed(
-    const CombinedQuery& query, int64_t epoch, bool* cached) {
+Result<std::shared_ptr<const std::map<int64_t, double>>>
+ServingFrontend::TextSeed(const CombinedQuery& query, int64_t epoch,
+                          bool* cached) {
   *cached = false;
   std::string key = std::to_string(query.text.size());
   key += ':';
@@ -233,11 +236,10 @@ std::shared_ptr<const std::map<int64_t, double>> ServingFrontend::TextSeed(
   // Shard 0's interview index stands for every shard's — the modality is
   // replicated (partition.h).
   std::shared_ptr<const Snapshot> snap = Acquire(0);
-  Result<std::map<int64_t, double>> stage =
-      snap->library->TextStage(query.text, query.text_top_k);
-  if (!stage.ok()) return nullptr;  // callers fall back to unseeded shards
-  auto seed = std::make_shared<const std::map<int64_t, double>>(
-      std::move(stage).TakeValue());
+  COBRA_ASSIGN_OR_RETURN(auto stage,
+                         snap->library->TextStage(query.text, query.text_top_k));
+  auto seed =
+      std::make_shared<const std::map<int64_t, double>>(std::move(stage));
   std::lock_guard<std::mutex> lock(seed_mu_);
   if (seed_index_.find(key) == seed_index_.end()) {
     seed_lru_.emplace_front(key, seed);
@@ -363,10 +365,17 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
   st->query = query;
   st->top_n = top_n;
 
+  // Every shard holds the same store and interview index (partition.h), so
+  // shard 0 validates the query once for all of them, before the scatter:
+  // an invalid query fails here with exactly DigitalLibrary::Search's
+  // status, whichever shards the routing or pruning below would pick.
+  const std::shared_ptr<const Snapshot> first = Acquire(0);
+  COBRA_RETURN_NOT_OK(first->library->ValidateQuery(query));
   if (has_text) {
     bool cached = false;
-    st->seed = TextSeed(query, Acquire(0)->built_epoch, &cached);
-    qs.text_seeded = st->seed != nullptr;
+    COBRA_ASSIGN_OR_RETURN(st->seed,
+                           TextSeed(query, first->built_epoch, &cached));
+    qs.text_seeded = true;
     qs.text_seed_cached = cached;
   }
   if (has_similar) {
@@ -374,12 +383,11 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
     snaps.reserve(slots_.size());
     for (size_t i = 0; i < slots_.size(); ++i) snaps.push_back(Acquire(i));
     size_t skipped = 0;
-    st->similar_seed = SimilarSeedFor(query, snaps, &skipped);
-    qs.similar_seeded = st->similar_seed != nullptr;
+    COBRA_ASSIGN_OR_RETURN(st->similar_seed,
+                           SimilarSeedFor(query, snaps, &skipped));
+    qs.similar_seeded = true;
     qs.similar_probes_skipped = skipped;
-    if (qs.similar_seeded) {
-      similar_seeded_.fetch_add(1, std::memory_order_relaxed);
-    }
+    similar_seeded_.fetch_add(1, std::memory_order_relaxed);
     similar_probes_skipped_.fetch_add(static_cast<int64_t>(skipped),
                                       std::memory_order_relaxed);
   }
@@ -416,7 +424,7 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
       t.bound.player_oid = kLow;
       t.has_bound = true;
       if (has_text) {
-        if (st->seed != nullptr && snap->presence_valid) {
+        if (snap->presence_valid) {
           // Upper bound on any shard hit's text score: best seed score
           // among players that appear in the shard's videos at all.
           double best_score = -1.0;
@@ -443,7 +451,7 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
           t.has_bound = false;  // text bound unknowable; never prune
         }
       }
-      if (has_similar && st->similar_seed != nullptr) {
+      if (has_similar) {
         // A shard contributes hits only through neighbor shots of its own
         // videos, each carrying similarity >= the shard's closest neighbor
         // distance — the per-shard lower bound on the similarity rank.
@@ -462,19 +470,11 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
         }
         t.bound.similarity = best_distance;
       }
-      // When the similar stage is unresolvable (null seed), no similar
-      // bound or prune applies: every evaluated shard reproduces the
-      // oracle's NotFound, and at least one always evaluates.
       t.snap = std::move(snap);
       targets.push_back(std::move(t));
     }
-    if (targets.empty()) {
-      // Never prune every shard: one shard must still evaluate so that
-      // errors the oracle would surface (e.g. a malformed predicate the
-      // planner validates lazily) surface here too.
-      --qs.shards_pruned_upfront;
-      targets.push_back({0, Acquire(0), SceneHit{}, false});
-    }
+    // Every shard may be pruned: the query was validated above, so its
+    // answer is then the empty merge, with no shard searched.
     // Best bound first: tightens the merged Nth as early as possible, so
     // later (worse-bounded) shards prune at dequeue. Unbounded targets
     // lead — they run regardless.

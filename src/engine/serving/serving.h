@@ -32,7 +32,9 @@
 ///     hit is skipped without being evaluated, the block-max/maxscore idea
 ///     of text/daat.h lifted to the shard level;
 ///   * shards that provably cannot contribute (no indexed videos, or no
-///     player both text-matching and present) are pruned upfront.
+///     player both text-matching and present) are pruned upfront — all of
+///     them, when none can: the query is validated once before the
+///     scatter, so a pruned shard never has an error left to report.
 ///
 /// Overload behavior: each shard has R replica workers with bounded
 /// queues; dispatch picks the replica with the smaller queue via
@@ -125,9 +127,11 @@ class ServingFrontend {
 
   /// The global top-`top_n` of `query` under SceneHitLess (top_n == 0 =
   /// all hits). `deadline_ms` < 0 takes the config default; 0 disables.
-  /// Errors: Unavailable when shed at admission; DeadlineExceeded is never
-  /// returned — an expired deadline degrades to the partial merge with
-  /// `qstats->degraded` set; any shard evaluation error is returned as-is.
+  /// Errors: an invalid query fails before the scatter with the status
+  /// DigitalLibrary::Search would return (validated once on shard 0;
+  /// NotFound when no shard resolves a similar_to probe); Unavailable when
+  /// shed at admission; DeadlineExceeded is never returned — an expired
+  /// deadline degrades to the partial merge with `qstats->degraded` set.
   Result<std::vector<SceneHit>> Search(const CombinedQuery& query,
                                        size_t top_n,
                                        QueryStats* qstats = nullptr,
@@ -205,8 +209,7 @@ class ServingFrontend {
   std::shared_ptr<const Snapshot> Acquire(size_t shard);
 
   /// Frontend-evaluated text stage, LRU-cached on (text, top_k, epoch).
-  /// nullptr = stage failed; callers fall back to unseeded evaluation.
-  std::shared_ptr<const std::map<int64_t, double>> TextSeed(
+  Result<std::shared_ptr<const std::map<int64_t, double>>> TextSeed(
       const CombinedQuery& query, int64_t epoch, bool* cached);
 
   /// Frontend-resolved global similar stage (the partitioned-modality
@@ -214,10 +217,9 @@ class ServingFrontend {
   /// then merges per-shard exact top-(k+1) candidate lists under the total
   /// neighbor order, probing shards in Hamming-lower-bound order so a
   /// shard provably outside the merged top-(k+1) is never searched
-  /// (`probes_skipped` counts those). nullptr = probe unresolvable in any
-  /// shard; callers fan out unseeded so every shard reproduces the
-  /// oracle's NotFound.
-  std::shared_ptr<const SimilarSeed> SimilarSeedFor(
+  /// (`probes_skipped` counts those). NotFound when no shard resolves the
+  /// probe.
+  Result<std::shared_ptr<const SimilarSeed>> SimilarSeedFor(
       const CombinedQuery& query,
       const std::vector<std::shared_ptr<const Snapshot>>& snaps,
       size_t* probes_skipped);

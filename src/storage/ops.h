@@ -10,10 +10,9 @@
 /// over typed arrays — string predicates over int32 dictionary codes — and
 /// per-block zone maps skip blocks that cannot contain a match. `HashJoin`
 /// on int64/string keys builds an integer-keyed hash table and can probe in
-/// parallel. The pre-vectorization row-at-a-time implementations are kept
-/// verbatim in `storage::reference` as the equivalence oracle for property
-/// tests and before/after benchmarks; both paths are bit-identical on every
-/// input and every SIMD tier.
+/// parallel. The pre-vectorization row-at-a-time implementations live in
+/// the test-only oracle library (`tests/oracles/reference_ops.h`); property
+/// tests hold both paths bit-identical on every input and every SIMD tier.
 
 #include <cstdint>
 #include <optional>
@@ -35,9 +34,7 @@ struct Predicate {
 
 /// Checks `pred` against `table`'s schema (column exists, literal type
 /// matches, kContains needs a string column and literal) without touching
-/// any row. Select/Refine run exactly this check first; the planner calls
-/// it up front so short-circuited plans stay error-identical to plans that
-/// evaluate every predicate.
+/// any row. Select, Refine and SelectAll run exactly this check first.
 Status ValidatePredicate(const Table& table, const Predicate& pred);
 
 /// Full-column selection: row ids (ascending) satisfying the predicate.
@@ -47,7 +44,9 @@ Result<std::vector<int64_t>> Select(const Table& table, const Predicate& pred);
 Result<std::vector<int64_t>> Refine(const Table& table, const Predicate& pred,
                                     const std::vector<int64_t>& candidates);
 
-/// Applies a conjunction of predicates.
+/// Applies a conjunction of predicates. Every predicate is checked before
+/// any row is selected, so whether the call fails depends on the
+/// predicates alone, never on a selection coming up empty early.
 Result<std::vector<int64_t>> SelectAll(const Table& table,
                                        const std::vector<Predicate>& preds);
 
@@ -78,7 +77,8 @@ struct JoinOptions {
 /// Equi-join on `left_col` = `right_col`. Output schema: left columns then
 /// right columns; a right column whose name collides gets a "right_"
 /// prefix. Output rows follow left row order; equal-key right matches
-/// follow right row order (same contract as `reference::HashJoin`).
+/// follow right row order. Double keys match when their `ValueToString`
+/// renderings are equal.
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::string& left_col,
                        const std::string& right_col,
@@ -113,25 +113,5 @@ Result<std::vector<GroupRow>> GroupBy(const Table& table,
                                       const std::string& key_column,
                                       AggregateOp op,
                                       const std::string& value_column = "");
-
-/// The pre-vectorization row-at-a-time operators, kept as the equivalence
-/// oracle: property tests assert the vectorized operators above return
-/// bit-identical results, and the E7/E8 benches report before/after against
-/// them. Not used by any query path.
-namespace reference {
-
-Result<std::vector<int64_t>> Select(const Table& table, const Predicate& pred);
-Result<std::vector<int64_t>> Refine(const Table& table, const Predicate& pred,
-                                    const std::vector<int64_t>& candidates);
-Result<std::vector<int64_t>> SelectAll(const Table& table,
-                                       const std::vector<Predicate>& preds);
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::string& left_col,
-                       const std::string& right_col);
-Result<std::vector<int64_t>> OrderBy(const Table& table,
-                                     const std::string& column, bool desc,
-                                     size_t limit = 0);
-
-}  // namespace reference
 
 }  // namespace cobra::storage

@@ -102,6 +102,12 @@ class InvertedIndex {
   /// Documents containing `term` (post-analysis form), for diagnostics.
   int64_t DocumentFrequency(const std::string& term) const;
 
+  /// The query-side analysis every Search* runs first: the query's terms
+  /// under the document chain. FailedPrecondition before Finalize(),
+  /// InvalidArgument when no indexable term remains. Callers use it to
+  /// validate a text condition without evaluating it.
+  Result<std::vector<std::string>> AnalyzeQuery(const std::string& query) const;
+
   /// Baseline: scores every document containing any query term, then sorts.
   /// Query text is analyzed with the same chain as documents.
   Result<std::vector<SearchHit>> SearchExhaustive(const std::string& query,
@@ -203,8 +209,6 @@ class InvertedIndex {
     double idf = 0.0;
     double max_weight = 0.0;  ///< max normalized tf among postings
   };
-
-  Result<std::vector<std::string>> AnalyzeQuery(const std::string& query) const;
 
   /// Shared DAAT evaluation behind SearchTopN (accept == nullptr) and
   /// SearchTopNFiltered.

@@ -53,6 +53,16 @@ Result<std::vector<int64_t>> ExecuteQuery(const WebspaceStore& store,
                                           const WebspaceQuery& query) {
   COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> current,
                          SelectObjects(store, query.source));
+  // Every step is checked before the walk, which stops at the first empty
+  // set: a malformed later step must fail whatever the data reaches.
+  for (const PathStep& step : query.path) {
+    COBRA_RETURN_NOT_OK(store.AssociationTable(step.association).status());
+    COBRA_ASSIGN_OR_RETURN(const storage::Table* table,
+                           store.ClassTable(step.target.class_name));
+    for (const storage::Predicate& pred : step.target.predicates) {
+      COBRA_RETURN_NOT_OK(storage::ValidatePredicate(*table, pred));
+    }
+  }
   for (const PathStep& step : query.path) {
     if (current.empty()) return current;
     COBRA_ASSIGN_OR_RETURN(

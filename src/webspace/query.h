@@ -41,7 +41,9 @@ struct WebspaceQuery {
 Result<std::vector<int64_t>> SelectObjects(const WebspaceStore& store,
                                            const ClassSelection& selection);
 
-/// Executes the path query.
+/// Executes the path query. The source selection and every step's
+/// association, target class and predicates are checked before the walk
+/// starts, so whether the query fails never depends on the rows it reaches.
 Result<std::vector<int64_t>> ExecuteQuery(const WebspaceStore& store,
                                           const WebspaceQuery& query);
 

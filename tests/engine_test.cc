@@ -83,6 +83,44 @@ TEST(DigitalLibraryTest, RejectsWrongSchema) {
           .TakeValue();
   auto store = webspace::WebspaceStore::Create(std::move(schema)).TakeValue();
   EXPECT_FALSE(DigitalLibrary::Create(std::move(store)).ok());
+
+  // The tournament schema with one piece Search reads taken out: every
+  // association, a redirected association, and Player.name.
+  auto full = webspace::SiteSynthesizer::TournamentSchema().TakeValue();
+  auto create = [](std::vector<webspace::ClassDef> classes,
+                   std::vector<webspace::AssociationDef> assocs) {
+    auto pruned = webspace::ConceptSchema::Create(std::move(classes),
+                                                  std::move(assocs));
+    EXPECT_TRUE(pruned.ok());
+    auto store =
+        webspace::WebspaceStore::Create(std::move(pruned).TakeValue())
+            .TakeValue();
+    return DigitalLibrary::Create(std::move(store));
+  };
+  ASSERT_TRUE(create(full.classes(), full.associations()).ok());
+  for (const char* missing : {"won", "interviewed_in", "plays_in"}) {
+    std::vector<webspace::AssociationDef> assocs;
+    for (const auto& assoc : full.associations()) {
+      if (assoc.name != missing) assocs.push_back(assoc);
+    }
+    auto library = create(full.classes(), assocs);
+    ASSERT_FALSE(library.ok()) << missing;
+    EXPECT_NE(library.status().ToString().find(missing), std::string::npos)
+        << library.status().ToString();
+  }
+  std::vector<webspace::AssociationDef> redirected = full.associations();
+  for (auto& assoc : redirected) {
+    if (assoc.name == "won") assoc.to_class = "Video";
+  }
+  EXPECT_FALSE(create(full.classes(), redirected).ok());
+  std::vector<webspace::ClassDef> nameless = full.classes();
+  for (auto& cls : nameless) {
+    if (cls.name != "Player") continue;
+    std::erase_if(cls.attributes, [](const webspace::AttributeDef& attr) {
+      return attr.name == "name";
+    });
+  }
+  EXPECT_FALSE(create(nameless, full.associations()).ok());
 }
 
 TEST(DigitalLibraryTest, ConceptOnlyQuery) {

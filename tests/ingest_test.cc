@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -672,6 +673,7 @@ TEST(ShardedIngestTest, QueriesRacingPublishesStayWellFormed) {
   // finalized until the ingest stream says so) while ingest publishes.
   std::atomic<bool> stop{false};
   std::atomic<int64_t> answered{0};
+  std::promise<void> first_answer;
   std::thread reader([&] {
     const char* events[] = {"net_play", "rally", "service", "smash"};
     int round = 0;
@@ -688,8 +690,14 @@ TEST(ShardedIngestTest, QueriesRacingPublishesStayWellFormed) {
         EXPECT_TRUE(hits.status().IsUnavailable())
             << hits.status().ToString();
       }
+      if (round == 1) first_answer.set_value();
     }
   });
+  // Ingest starts only once the reader's first query is back. That query
+  // ran alone against the seed snapshot, so it cannot have been shed, and
+  // the answered > 0 check below holds by the order of events, not by how
+  // long the ingest happens to take.
+  first_answer.get_future().wait();
 
   util::ThreadPool pool(2);
   CorpusIngestPipeline::Options pipeline_options;

@@ -8,6 +8,10 @@
 ///   * the planner-vs-SearchFixedOrder equivalence property sweep over all
 ///     2^4 modality combinations, randomized selectivities, and degenerate
 ///     corpora — results and errors must be identical;
+///   * errors depend on the query alone: a malformed predicate fails the
+///     same way alone, after a provably-empty predicate and after a
+///     matching one, through Search, ExplainSearch, QueryEngine and the
+///     query language;
 ///   * a concurrent QueryEngine variant (tsan-labeled in CMake).
 
 #include <gtest/gtest.h>
@@ -23,6 +27,10 @@
 
 #include "engine/digital_library.h"
 #include "engine/query_engine.h"
+#include "engine/query_language.h"
+#include "oracles/fixed_order.h"
+#include "oracles/malformed_queries.h"
+#include "oracles/reference_ops.h"
 #include "storage/ops.h"
 #include "storage/stats.h"
 #include "storage/table.h"
@@ -449,7 +457,7 @@ TEST(FilteredTopNTest, ExactTopNOfAcceptedSubset) {
 
 void ExpectSameAnswer(const DigitalLibrary& library, const CombinedQuery& query,
                       const char* label) {
-  auto fixed = library.SearchFixedOrder(query);
+  auto fixed = SearchFixedOrder(library, query);
   planner::PlanExplain explain;
   auto planned = library.Search(query, nullptr, &explain);
   ASSERT_EQ(fixed.ok(), planned.ok())
@@ -555,29 +563,47 @@ TEST(PlannerEquivalenceTest, AllModalityCombosMatchFixedOrder) {
 
 TEST(PlannerEquivalenceTest, InvalidPredicatesErrorIdentically) {
   const PlannerFixture& fixture = SharedFixture();
-  CombinedQuery bad_column;
-  bad_column.player_predicates = {{"no_such_column", CompareOp::kEq,
-                                   int64_t{1}}};
-  ExpectSameAnswer(*fixture.library, bad_column, "bad column");
+  const DigitalLibrary& library = *fixture.library;
+  QueryEngineConfig config;
+  config.enable_cache = false;
+  QueryEngine engine(&library, config);
+  for (const char* kind : {"unknown column", "type mismatch"}) {
+    // Every placement of one malformed predicate fails with one status.
+    std::string first_status;
+    for (const MalformedQuery& m : MalformedQueries()) {
+      if (m.kind != kind) continue;
+      auto parsed = ParseQuery(m.text);
+      ASSERT_TRUE(parsed.ok()) << m.label << ": " << parsed.status().ToString();
+      ASSERT_EQ(FormatQuery(*parsed), FormatQuery(m.query)) << m.label;
+      for (const CombinedQuery& query : {m.query, *parsed}) {
+        ExpectSameAnswer(library, query, m.label.c_str());
+        auto searched = library.Search(query);
+        ASSERT_FALSE(searched.ok()) << m.label << " must error";
+        const std::string status = searched.status().ToString();
+        EXPECT_EQ(library.ExplainSearch(query).status().ToString(), status)
+            << m.label;
+        EXPECT_EQ(engine.Search(query).status().ToString(), status)
+            << m.label;
+        if (first_status.empty()) first_status = status;
+        EXPECT_EQ(status, first_status) << m.label;
+      }
+    }
+    EXPECT_FALSE(first_status.empty()) << kind;
+  }
 
   CombinedQuery bad_type;
   bad_type.player_predicates = {{"ranking", CompareOp::kEq,
                                  std::string("left")}};
   bad_type.text = "champion";
-  ExpectSameAnswer(*fixture.library, bad_type, "type mismatch");
-
-  CombinedQuery empty_then_bad;
-  empty_then_bad.player_predicates = {
-      {"hand", CompareOp::kEq, std::string("ambidextrous")},
-      {"gender", CompareOp::kEq, int64_t{3}}};  // type error after empty pred
-  ExpectSameAnswer(*fixture.library, empty_then_bad, "empty then bad");
+  ExpectSameAnswer(library, bad_type, "type mismatch with text");
 
   CombinedQuery stop_words_only;
   stop_words_only.text = "the of and";
   stop_words_only.player_predicates = {
       {"hand", CompareOp::kEq, std::string("ambidextrous")}};
-  ExpectSameAnswer(*fixture.library, stop_words_only,
+  ExpectSameAnswer(library, stop_words_only,
                    "stop-word text must error despite empty concept stage");
+  EXPECT_FALSE(library.Search(stop_words_only).ok());
 }
 
 TEST(PlannerEquivalenceTest, DegenerateCorpora) {
@@ -629,33 +655,12 @@ TEST(PlannerEquivalenceTest, DegenerateCorpora) {
   }
 }
 
-TEST(PlannerTest, PlannerKnobRoutesToFixedOrder) {
-  webspace::SiteConfig config;
-  config.num_players = 8;
-  config.num_past_years = 2;
-  config.seed = 9;
-  auto site = webspace::SiteSynthesizer::Generate(config).TakeValue();
-  auto library = BuildLibrary(&site, true, false);
-  EXPECT_TRUE(library->planner_enabled());
-  library->set_planner_enabled(false);
-  CombinedQuery query;
-  query.require_champion = true;
-  planner::PlanExplain explain;
-  explain.used_planner = true;
-  ASSERT_TRUE(library->Search(query, nullptr, &explain).ok());
-  EXPECT_FALSE(explain.used_planner) << "knob off must use the fixed order";
-  library->set_planner_enabled(true);
-  ASSERT_TRUE(library->Search(query, nullptr, &explain).ok());
-  EXPECT_TRUE(explain.used_planner);
-}
-
 TEST(PlannerTest, ExplainReportsShortCircuitAndSteps) {
   const PlannerFixture& fixture = SharedFixture();
   CombinedQuery query;
   query.player_predicates = {
       {"hand", CompareOp::kEq, std::string("ambidextrous")}};
   auto explain = fixture.library->ExplainSearch(query).TakeValue();
-  EXPECT_TRUE(explain.used_planner);
   EXPECT_TRUE(explain.short_circuited);
   EXPECT_FALSE(explain.steps.empty());
   EXPECT_NE(explain.ToString().find("short_circuit"), std::string::npos);
@@ -689,7 +694,7 @@ TEST(PlannerConcurrencyTest, BatchMatchesFixedOrderUnderThreads) {
   }
   std::vector<Result<std::vector<SceneHit>>> expected;
   for (const CombinedQuery& q : queries) {
-    expected.push_back(fixture.library->SearchFixedOrder(q));
+    expected.push_back(SearchFixedOrder(*fixture.library, q));
   }
 
   QueryEngineConfig config;

@@ -1,9 +1,11 @@
 /// \file serving_test.cc
 /// The sharded scatter-gather serving tier (DESIGN.md §4i):
 ///   * shard-count invariance: 1, 2 and 7 shards answer the 16-modality
-///     sweep bit-identically to the unsharded oracle at every top-N;
+///     sweep bit-identically to the unsharded oracle at every top-N, and
+///     fail malformed queries with the oracle's status;
 ///   * the frontend text seed never changes results (seeded vs unseeded
-///     evaluation on one library, planner on and off);
+///     evaluation on one library, through the planner and the fixed-order
+///     oracle);
 ///   * bound-based shard pruning happens and never changes results;
 ///   * a paused backend degrades at the deadline instead of stalling, and
 ///     full queues shed with Unavailable instead of queueing unboundedly;
@@ -27,6 +29,8 @@
 #include "engine/durable_library.h"
 #include "engine/serving/partition.h"
 #include "engine/serving/serving.h"
+#include "oracles/fixed_order.h"
+#include "oracles/malformed_queries.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "webspace/site_synthesizer.h"
@@ -174,7 +178,18 @@ TEST(ServingPartitionTest, RangeShardsCoverTheCorpusOnce) {
 TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
   const CorpusParts parts = MakeParts();
   auto oracle = BuildLibrary(parts).TakeValue();
-  const auto queries = SweepQueries();
+  // The sweep plus malformed queries: the frontend must fail them with the
+  // oracle's status, before any shard is searched, whether they would
+  // route to one shard (no content) or scatter (event, event + text).
+  auto queries = SweepQueries();
+  for (const MalformedQuery& m : MalformedQueries()) {
+    queries.push_back(m.query);
+    CombinedQuery with_content = m.query;
+    with_content.event = "net_play";
+    queries.push_back(with_content);
+    with_content.text = "australian open";
+    queries.push_back(std::move(with_content));
+  }
   for (size_t num_shards : {1u, 2u, 7u}) {
     auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
     ServingConfig config;
@@ -194,6 +209,7 @@ TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
         if (!expected.ok()) {
           EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
               << label;
+          EXPECT_EQ(qs.shards_searched, 0u) << label;
           continue;
         }
         ExpectBitIdentical(Truncate(*expected, top_n), *actual, label);
@@ -204,6 +220,19 @@ TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
         }
       }
     }
+    // No interview matches the text, so every shard prunes upfront and the
+    // empty answer comes back without searching any shard.
+    CombinedQuery unmatched;
+    unmatched.text = "zyzzyva";
+    unmatched.event = "net_play";
+    QueryStats qs;
+    auto none = frontend->Search(unmatched, 10, &qs);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->empty());
+    EXPECT_TRUE(oracle->Search(unmatched)->empty());
+    EXPECT_EQ(qs.shards_searched, 0u);
+    EXPECT_EQ(qs.shards_pruned_upfront, num_shards);
+
     const ServingStats stats = frontend->stats();
     EXPECT_EQ(stats.shed, 0);
     EXPECT_EQ(stats.degraded, 0);
@@ -358,10 +387,12 @@ TEST(ServingFrontendTest, SeededLibrarySearchMatchesUnseeded) {
     auto seed = library->TextStage(query.text, query.text_top_k);
     ASSERT_TRUE(seed.ok());
     for (bool planner : {true, false}) {
-      library->set_planner_enabled(planner);
-      auto unseeded = library->Search(query);
       planner::PlanExplain explain;
-      auto seeded = library->Search(query, nullptr, &explain, &seed.value());
+      auto unseeded =
+          planner ? library->Search(query) : SearchFixedOrder(*library, query);
+      auto seeded =
+          planner ? library->Search(query, nullptr, &explain, &seed.value())
+                  : SearchFixedOrder(*library, query, nullptr, &seed.value());
       ASSERT_EQ(unseeded.ok(), seeded.ok());
       if (!unseeded.ok()) {
         EXPECT_EQ(unseeded.status().ToString(), seeded.status().ToString());
@@ -372,7 +403,6 @@ TEST(ServingFrontendTest, SeededLibrarySearchMatchesUnseeded) {
       planner_seeded = planner_seeded || explain.text_seeded;
     }
   }
-  library->set_planner_enabled(true);
   EXPECT_TRUE(planner_seeded);  // the seed path actually executed
 }
 

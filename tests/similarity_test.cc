@@ -39,6 +39,7 @@
 #include "engine/similarity/similarity.h"
 #include "media/near_duplicate.h"
 #include "media/tennis_synthesizer.h"
+#include "oracles/fixed_order.h"
 #include "util/rng.h"
 #include "vision/signature.h"
 #include "vision/signature_kernels.h"
@@ -444,7 +445,7 @@ TEST(SimilarSearchTest, PlannerMatchesFixedOrderOnSimilarQueries) {
   const auto queries = SimilarQueries(fixture);
   size_t non_empty = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    auto fixed = fixture.library->SearchFixedOrder(queries[qi]);
+    auto fixed = SearchFixedOrder(*fixture.library, queries[qi]);
     auto planned = fixture.library->Search(queries[qi]);
     const std::string label = "query " + std::to_string(qi);
     ASSERT_EQ(fixed.ok(), planned.ok()) << label;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "oracles/reference_ops.h"
 #include "storage/ops.h"
 #include "storage/table.h"
 #include "util/rng.h"

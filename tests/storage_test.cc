@@ -113,6 +113,24 @@ TEST(RefineTest, ConjunctionPipeline) {
   EXPECT_EQ(rows, (std::vector<int64_t>{2}));
 }
 
+TEST(RefineTest, MalformedPredicateAfterEmptySelectionFails) {
+  // "nobody" empties the selection before the malformed predicate is
+  // reached; SelectAll must still reject it, exactly as it would after a
+  // matching predicate.
+  Table t = PlayersTable();
+  const Predicate bad_type{"rank", CompareOp::kEq, std::string("1")};
+  const Predicate bad_column{"ghost", CompareOp::kEq, int64_t{1}};
+  for (const Predicate& bad : {bad_type, bad_column}) {
+    auto after_empty =
+        SelectAll(t, {{"name", CompareOp::kEq, std::string("nobody")}, bad});
+    auto after_match =
+        SelectAll(t, {{"hand", CompareOp::kEq, std::string("left")}, bad});
+    ASSERT_FALSE(after_empty.ok()) << bad.column;
+    ASSERT_FALSE(after_match.ok()) << bad.column;
+    EXPECT_EQ(after_empty.status().ToString(), after_match.status().ToString());
+  }
+}
+
 TEST(RefineTest, EmptyPredicatesSelectAll) {
   Table t = PlayersTable();
   EXPECT_EQ(SelectAll(t, {}).TakeValue().size(), 4u);

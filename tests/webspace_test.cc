@@ -219,6 +219,27 @@ TEST(QueryTest, EmptySourceShortCircuits) {
   EXPECT_TRUE(ExecuteQuery(store, query).TakeValue().empty());
 }
 
+TEST(QueryTest, MalformedStepAfterEmptySourceFails) {
+  // The source selects nothing, so the walk never reaches the steps; their
+  // association, target class and predicates must be checked regardless.
+  auto store = WebspaceStore::Create(TinySchema().TakeValue()).TakeValue();
+  const ClassSelection empty_source{
+      "A", {Predicate{"x", CompareOp::kEq, int64_t{999}}}};
+  WebspaceQuery unknown_assoc{empty_source, {PathStep{"no_such", false, -1, {"B", {}}}}};
+  auto result = ExecuteQuery(store, unknown_assoc);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+
+  WebspaceQuery unknown_target{empty_source, {PathStep{"ab", false, -1, {"Z", {}}}}};
+  EXPECT_FALSE(ExecuteQuery(store, unknown_target).ok());
+
+  WebspaceQuery bad_pred{
+      empty_source,
+      {PathStep{"ab", false, -1,
+                {"B", {Predicate{"label", CompareOp::kEq, int64_t{1}}}}}}};
+  EXPECT_FALSE(ExecuteQuery(store, bad_pred).ok());
+}
+
 TEST(QueryTest, UnknownClassFails) {
   auto store = WebspaceStore::Create(TinySchema().TakeValue()).TakeValue();
   WebspaceQuery query;
