@@ -57,6 +57,10 @@ Result<MetaIndex> MetaIndex::FromTables(Table shots, Table objects,
   }
   MetaIndex index(std::move(shots), std::move(objects), std::move(events));
   index.num_videos_ = num_videos;
+  const std::vector<int64_t>& vids = index.events_.IntColumn(0);
+  for (size_t r = 0; r < vids.size(); ++r) {
+    index.event_rows_[vids[r]].push_back(static_cast<int64_t>(r));
+  }
   return index;
 }
 
@@ -76,12 +80,21 @@ Status MetaIndex::AddVideo(const VideoDescription& desc) {
          a.DoubleOr("observed_fraction", 0.0), a.DoubleOr("mean_area", 0.0),
          a.DoubleOr("mean_eccentricity", 0.0)}));
   }
+  std::vector<int64_t>& rows = event_rows_[vid];
   for (const grammar::Annotation& a : desc.Layer(CobraLayer::kEvent)) {
+    const int64_t row = events_.num_rows();
     COBRA_RETURN_NOT_OK(events_.AppendRow(
         {vid, a.symbol, a.IntOr("player", -1), a.range.begin, a.range.end}));
+    rows.push_back(row);
   }
   ++num_videos_;
   return Status::OK();
+}
+
+const std::vector<int64_t>& MetaIndex::EventRows(int64_t video_id) const {
+  static const std::vector<int64_t> kNone;
+  auto it = event_rows_.find(video_id);
+  return it == event_rows_.end() ? kNone : it->second;
 }
 
 Result<std::vector<Scene>> MetaIndex::FindScenes(const std::string& event_name,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/video_description.h"
@@ -39,7 +40,8 @@ class MetaIndex {
 
   /// Reassembles an index from persisted tables. Schemas must match the
   /// layouts documented above (validated against Create()'s); the video
-  /// count is persisted separately since empty videos add no rows.
+  /// count is persisted separately since empty videos add no rows. The
+  /// per-video event rows (EventRows) are rebuilt from the events table.
   static Result<MetaIndex> FromTables(storage::Table shots,
                                       storage::Table objects,
                                       storage::Table events,
@@ -54,8 +56,16 @@ class MetaIndex {
 
   int64_t num_videos() const { return num_videos_; }
 
+  /// Rows of the events table describing `video_id`, ascending (row
+  /// order); empty for a video with no events or none indexed. A video
+  /// described twice holds both descriptions' rows, which need not be
+  /// contiguous. The planner's event stage reads a video's events through
+  /// this instead of scanning the table.
+  const std::vector<int64_t>& EventRows(int64_t video_id) const;
+
   /// Scenes showing `event_name`, optionally restricted to one video
-  /// (video_id >= 0) and/or one player (player >= 0).
+  /// (video_id >= 0) and/or one player (player >= 0), in row order. A plain
+  /// table scan: it does not read EventRows.
   Result<std::vector<Scene>> FindScenes(const std::string& event_name,
                                         int64_t video_id = -1,
                                         int64_t player = -1) const;
@@ -74,6 +84,8 @@ class MetaIndex {
   storage::Table objects_;
   storage::Table events_;
   int64_t num_videos_ = 0;
+  /// video id -> its events-table rows, ascending.
+  std::unordered_map<int64_t, std::vector<int64_t>> event_rows_;
 };
 
 }  // namespace cobra::core

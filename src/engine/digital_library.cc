@@ -210,12 +210,9 @@ Result<std::map<int64_t, double>> DigitalLibrary::TextStage(
 }
 
 Result<std::vector<SceneHit>> DigitalLibrary::Search(
-    const CombinedQuery& query, text::SearchStats* stats,
-    planner::PlanExplain* explain,
-    const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) const {
-  return planner::SearchPlanned(*this, query, stats, explain, text_seed,
-                                similar_seed);
+    const SearchRequest& request, text::SearchStats* stats,
+    planner::PlanExplain* explain) const {
+  return planner::SearchPlanned(*this, request, stats, explain);
 }
 
 Result<planner::PlanExplain> DigitalLibrary::ExplainSearch(

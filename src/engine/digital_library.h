@@ -92,6 +92,32 @@ struct SimilarSeed {
   SimilarNeighbors neighbors;
 };
 
+/// One `Search` call: the query, how many hits to return, and the serving
+/// tier's optional stage seeds. Implicitly constructible from a
+/// CombinedQuery, so `Search(query)` asks for every hit, unseeded. The
+/// request borrows the query and the seeds; they must outlive the call.
+struct SearchRequest {
+  SearchRequest(const CombinedQuery& query, size_t top_n = 0,
+                const std::map<int64_t, double>* text_seed = nullptr,
+                const SimilarSeed* similar_seed = nullptr)
+      : query(query),
+        top_n(top_n),
+        text_seed(text_seed),
+        similar_seed(similar_seed) {}
+
+  const CombinedQuery& query;
+  /// Only the first `top_n` hits under SceneHitLess are returned (0 = all).
+  /// The answer is exactly the full answer's prefix.
+  size_t top_n = 0;
+  /// Precomputed player -> score text stage (DigitalLibrary::TextStage);
+  /// when non-null and the query has a text condition it replaces the
+  /// local DAAT run.
+  const std::map<int64_t, double>* text_seed = nullptr;
+  /// Frontend-resolved similar stage; when non-null and the query has a
+  /// similar_to condition its neighbor set is taken verbatim.
+  const SimilarSeed* similar_seed = nullptr;
+};
+
 /// Resolves the probe signature of `query` from `index` (NotFound when the
 /// probe scene has no indexed signature).
 Result<vision::ShotSignature> ResolveProbeSignature(
@@ -188,15 +214,18 @@ class DigitalLibrary {
   Status ValidateQuery(const CombinedQuery& query) const;
 
   /// The combined query, answered by the cost-based planner (DESIGN.md
-  /// §4g). Results are fully deterministically ordered: text score
-  /// descending, then video id, then scene start, then scene end, then
-  /// player oid, then event name; text_score carries the interview
-  /// relevance when a text condition was present (0 otherwise). When
-  /// `stats` is non-null it receives the text-index work counters of this
-  /// query (zeroed when the query has no text condition). When `explain` is
-  /// non-null it receives the executed plan.
+  /// §4g). Results are fully deterministically ordered (SceneHitLess): text
+  /// score descending, then similarity distance ascending, then video id,
+  /// then scene start, then scene end, then player oid, then event name;
+  /// text_score carries the interview relevance when a text condition was
+  /// present (0 otherwise). With `request.top_n` > 0 only the first top_n
+  /// hits are returned, and the event stage stops once no remaining
+  /// (player, video) pair can enter them. When `stats` is non-null it
+  /// receives the text-index work counters of this query (zeroed when the
+  /// query has no text condition). When `explain` is non-null it receives
+  /// the executed plan.
   ///
-  /// `text_seed` is the shard-aware serving hook (DESIGN.md §4i): a
+  /// `request.text_seed` is the shard-aware serving hook (DESIGN.md §4i): a
   /// player→score map computed by TextStage() on a library with an
   /// identical interview index (in the serving tier the interview layer is
   /// replicated, so the frontend evaluates it once and fans the result
@@ -204,15 +233,13 @@ class DigitalLibrary {
   /// stage is taken verbatim from the seed instead of re-running the DAAT
   /// — results are bit-identical by construction.
   ///
-  /// `similar_seed` is the same hook for the similar_to modality, which is
-  /// *partitioned* rather than replicated: the frontend resolves the probe
-  /// signature and global neighbor set once and every shard consumes it
-  /// verbatim (see SimilarSeed).
+  /// `request.similar_seed` is the same hook for the similar_to modality,
+  /// which is *partitioned* rather than replicated: the frontend resolves
+  /// the probe signature and global neighbor set once and every shard
+  /// consumes it verbatim (see SimilarSeed).
   Result<std::vector<SceneHit>> Search(
-      const CombinedQuery& query, text::SearchStats* stats = nullptr,
-      planner::PlanExplain* explain = nullptr,
-      const std::map<int64_t, double>* text_seed = nullptr,
-      const SimilarSeed* similar_seed = nullptr) const;
+      const SearchRequest& request, text::SearchStats* stats = nullptr,
+      planner::PlanExplain* explain = nullptr) const;
 
   /// The text stage in isolation: players scored by their best interview
   /// for `text` (top_k interviews ranked, walked back through
@@ -224,8 +251,9 @@ class DigitalLibrary {
       const std::string& text, size_t top_k,
       text::SearchStats* stats = nullptr) const;
 
-  /// Plans and executes `query`, returning only the explain record
-  /// (chosen stage order, estimated vs actual cardinalities).
+  /// Plans and executes `query` for every hit (top_n 0), returning only
+  /// the explain record (chosen stage order, estimated vs actual
+  /// cardinalities).
   Result<planner::PlanExplain> ExplainSearch(const CombinedQuery& query) const;
 
   /// Keyword-only baseline (what a flat web search engine sees, paper §2):

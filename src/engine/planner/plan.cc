@@ -18,8 +18,6 @@ std::string PlanExplain::ToString() const {
   flag(text_filter_pushed, "text_filter_pushed");
   flag(text_seeded, "text_seeded");
   flag(similar_seeded, "similar_seeded");
-  flag(similar_filter_pushed, "similar_filter_pushed");
-  flag(event_single_scan, "event_single_scan");
   for (const PlanStep& step : steps) {
     out += StringFormat("\n  %-40s est=%.1f actual=%lld", step.name.c_str(),
                         step.est_rows, static_cast<long long>(step.actual_rows));

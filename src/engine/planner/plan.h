@@ -18,7 +18,7 @@ namespace cobra::engine::planner {
 /// One executed (or short-circuiting) plan stage.
 struct PlanStep {
   /// Stage label, e.g. "predicate ranking==17", "champions", "text:filtered",
-  /// "events:single_scan", "short_circuit: event name unknown".
+  /// "pairs", "short_circuit: event name unknown".
   std::string name;
   /// Estimated output cardinality when the stage was planned.
   double est_rows = 0.0;
@@ -43,12 +43,6 @@ struct PlanExplain {
   /// The similar stage was taken from a frontend-provided SimilarSeed
   /// (serving tier, DESIGN.md §4j) instead of probing the ANN index.
   bool similar_seeded = false;
-  /// The similar stage's neighbor video set was pushed into the event scan
-  /// as a video filter (only videos holding a neighbor shot are scanned).
-  bool similar_filter_pushed = false;
-  /// The event stage ran one events-table scan grouped by video instead of
-  /// one FindScenes call per (player, video) pair.
-  bool event_single_scan = false;
   /// Executed stages in order.
   std::vector<PlanStep> steps;
 

@@ -1,9 +1,10 @@
 #include "engine/planner/planner.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "storage/stats.h"
@@ -53,11 +54,82 @@ std::vector<int64_t> RowsToOids(const Table& players, const std::vector<int64_t>
   return out;
 }
 
-Result<std::vector<SceneHit>> SearchPlannedImpl(
-    const DigitalLibrary& library, const CombinedQuery& query,
-    text::SearchStats* stats, PlanExplain& ex,
-    const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
+/// Keeps the first `n` hits pushed under SceneHitLess (every hit when
+/// n == 0): a max-heap whose front is the current n-th hit. Hits that rank
+/// equal are identical in every field, so which copy survives a tie cannot
+/// show.
+class TopHits {
+ public:
+  explicit TopHits(size_t n) : n_(n) {}
+
+  /// True once `n` hits are held; Last() is then the n-th.
+  bool Full() const { return n_ > 0 && heap_.size() == n_; }
+  const SceneHit& Last() const { return heap_.front(); }
+
+  void Push(SceneHit hit) {
+    if (n_ == 0) {
+      heap_.push_back(std::move(hit));
+    } else if (heap_.size() < n_) {
+      heap_.push_back(std::move(hit));
+      std::push_heap(heap_.begin(), heap_.end(), SceneHitLess);
+    } else if (SceneHitLess(hit, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), SceneHitLess);
+      heap_.back() = std::move(hit);
+      std::push_heap(heap_.begin(), heap_.end(), SceneHitLess);
+    }
+  }
+
+  /// The kept hits in SceneHitLess order.
+  std::vector<SceneHit> Take() {
+    std::sort(heap_.begin(), heap_.end(), SceneHitLess);
+    return std::move(heap_);
+  }
+
+ private:
+  size_t n_;
+  std::vector<SceneHit> heap_;
+};
+
+/// One (player, indexed video) pair of the content stage. Its bound — the
+/// player's text score, the smallest neighbor-shot distance in the video
+/// (-1 without a similar_to condition), the video, and -inf for range and
+/// player — ranks at or before every hit the pair can produce under
+/// SceneHitLess: those hits share the score and video, and carry a
+/// distance no smaller than the video's smallest.
+struct ContentPair {
+  double score = 0.0;
+  double distance = -1.0;
+  int64_t video = 0;
+  int64_t player = 0;
+  const std::vector<SimilarShot>* neighbors = nullptr;  ///< similar_to only
+
+  SceneHit Bound() const {
+    constexpr int64_t kLow = std::numeric_limits<int64_t>::min();
+    SceneHit bound;
+    bound.text_score = score;
+    bound.similarity = distance;
+    bound.video_oid = video;
+    bound.range = {kLow, kLow};
+    bound.player_oid = kLow;
+    return bound;
+  }
+};
+
+/// Bound order (SceneHitLess over Bound()), then player for determinism.
+bool PairBefore(const ContentPair& a, const ContentPair& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.distance != b.distance) return a.distance < b.distance;
+  if (a.video != b.video) return a.video < b.video;
+  return a.player < b.player;
+}
+
+Result<std::vector<SceneHit>> SearchPlannedImpl(const DigitalLibrary& library,
+                                                const SearchRequest& request,
+                                                text::SearchStats* stats,
+                                                PlanExplain& ex) {
+  const CombinedQuery& query = request.query;
+  const std::map<int64_t, double>* text_seed = request.text_seed;
+  const SimilarSeed* similar_seed = request.similar_seed;
   const WebspaceStore& store = library.store();
   const text::InvertedIndex& interviews = library.interviews();
   const core::MetaIndex& meta = library.meta_index();
@@ -149,17 +221,20 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
     }
   }
 
+  // The events table's fixed layout (core::MetaIndex): name is column 1.
+  const Table& events = meta.events();
+  constexpr size_t kEventNameCol = 1;
+  int32_t event_code = -1;
   bool event_provably_empty = false;
   if (has_event) {
     if (indexed_videos.empty()) {
       event_provably_empty = true;
     } else {
-      const Table& events = meta.events();
-      COBRA_ASSIGN_OR_RETURN(size_t name_col, events.ColumnIndex("name"));
-      const int32_t code = events.DictCode(name_col, query.event);
+      event_code = events.DictCode(kEventNameCol, query.event);
       int64_t event_rows = 0;
-      if (code >= 0) {
-        COBRA_ASSIGN_OR_RETURN(event_rows, events.CodeCount(name_col, code));
+      if (event_code >= 0) {
+        COBRA_ASSIGN_OR_RETURN(event_rows,
+                               events.CodeCount(kEventNameCol, event_code));
       }
       event_provably_empty = event_rows == 0;
     }
@@ -427,184 +502,147 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
     return std::vector<SceneHit>{};
   }
 
-  // --- Event stage ---------------------------------------------------------
-  std::vector<SceneHit> out;
-  const std::set<int64_t> indexed(indexed_videos.begin(), indexed_videos.end());
-
-  auto player_name = [&](int64_t player) -> Result<std::string> {
-    COBRA_ASSIGN_OR_RETURN(storage::Value v,
-                           store.GetAttribute("Player", player, "name"));
-    return std::get<std::string>(v);
-  };
+  // --- Answer stage -------------------------------------------------------
+  // Every call below that returns a Status can only fail on a schema gap
+  // (an unknown association, class or attribute) that Create rules out, so
+  // the early stop skips no call that could fail.
+  TopHits best(request.top_n);
   auto score_of = [&](int64_t player) {
     auto it = text_scores.find(player);
     return it == text_scores.end() ? 0.0 : it->second;
   };
-  // Best (smallest) distance key among neighbor shots overlapping `range`;
-  // false when none overlaps (the scene is not an answer).
-  auto best_overlap = [](const std::vector<SimilarShot>& shots,
-                         const FrameInterval& range, double* best) {
-    bool overlapped = false;
-    for (const SimilarShot& shot : shots) {
-      if (!range.Overlaps(shot.range)) continue;
-      if (!overlapped || shot.distance < *best) *best = shot.distance;
-      overlapped = true;
-    }
-    return overlapped;
-  };
 
   if (!has_event && !has_similar) {
     for (int64_t player : players) {
-      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
       SceneHit hit;
       hit.player_oid = player;
-      hit.player_name = std::move(name);
       hit.text_score = score_of(player);
-      out.push_back(std::move(hit));
+      best.Push(std::move(hit));
     }
-  } else if (!has_event) {
-    // Similar-only content condition: every neighbor shot of an indexed
-    // video the player plays in is an answer scene.
+  } else {
+    std::vector<int64_t> indexed = indexed_videos;
+    std::sort(indexed.begin(), indexed.end());
+    indexed.erase(std::unique(indexed.begin(), indexed.end()), indexed.end());
+
+    // Every (player, indexed video) pair that can hold a hit: the video
+    // has event rows (event queries) and a neighbor shot (similar_to).
+    std::vector<ContentPair> pairs;
     for (int64_t player : players) {
-      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
       const double score = score_of(player);
       COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
                              store.Traverse("plays_in", {player}));
       for (int64_t video : videos) {
-        if (!indexed.count(video)) continue;
-        auto it = similar.find(video);
-        if (it == similar.end()) continue;
-        for (const SimilarShot& shot : it->second) {
-          SceneHit hit;
-          hit.player_oid = player;
-          hit.player_name = name;
-          hit.video_oid = video;
-          hit.range = shot.range;
-          hit.text_score = score;
-          hit.similarity = shot.distance;
-          out.push_back(std::move(hit));
+        if (!std::binary_search(indexed.begin(), indexed.end(), video)) {
+          continue;
         }
+        if (has_event && meta.EventRows(video).empty()) continue;
+        ContentPair pair{score, -1.0, video, player, nullptr};
+        if (has_similar) {
+          auto it = similar.find(video);
+          if (it == similar.end() || it->second.empty()) continue;
+          pair.neighbors = &it->second;
+          pair.distance = it->second.front().distance;
+          for (const SimilarShot& shot : it->second) {
+            pair.distance = std::min(pair.distance, shot.distance);
+          }
+        }
+        pairs.push_back(pair);
       }
     }
-  } else {
-    // Estimated (player, indexed video) pairs decide between one grouped
-    // events scan and per-pair FindScenes rescans.
-    double fanout = 1.0;
-    COBRA_ASSIGN_OR_RETURN(const Table* plays, store.AssociationTable("plays_in"));
-    if (plays->num_rows() > 0) {
-      COBRA_ASSIGN_OR_RETURN(int64_t from_ndv, plays->Ndv(0));
-      fanout = plays->num_rows() / std::max<double>(1.0, from_ndv);
-    }
-    const double est_pairs = players.size() * fanout;
-    ex.event_single_scan = est_pairs >= 2.0;
+    std::sort(pairs.begin(), pairs.end(), PairBefore);
 
-    if (ex.event_single_scan) {
-      COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                             meta.FindScenes(query.event));
-      // Group by video, preserving events-table row order within each
-      // group — the order FindScenes(event, video) would return. With a
-      // similar condition, the neighbor video set is pushed down here:
-      // scenes of videos without a neighbor shot can never be answers.
-      std::map<int64_t, std::vector<const core::Scene*>> by_video;
-      for (const core::Scene& scene : scenes) {
-        if (has_similar && !similar.count(scene.video_id)) continue;
-        by_video[scene.video_id].push_back(&scene);
+    // Best (smallest) distance key among neighbor shots overlapping
+    // `range`; false when none overlaps (the scene is not an answer).
+    auto best_overlap = [](const std::vector<SimilarShot>& shots,
+                           const FrameInterval& range, double* best_key) {
+      bool overlapped = false;
+      for (const SimilarShot& shot : shots) {
+        if (!range.Overlaps(shot.range)) continue;
+        if (!overlapped || shot.distance < *best_key) *best_key = shot.distance;
+        overlapped = true;
       }
-      ex.similar_filter_pushed = has_similar;
-      ex.steps.push_back({"events:single_scan", est_pairs,
-                          static_cast<int64_t>(scenes.size())});
-      for (int64_t player : players) {
-        COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
-        const double score = score_of(player);
-        COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
-                               store.Traverse("plays_in", {player}));
-        for (int64_t video : videos) {
-          if (!indexed.count(video)) continue;
-          auto group = by_video.find(video);
-          if (group == by_video.end()) continue;
-          const std::vector<SimilarShot>* neighbors = nullptr;
-          if (has_similar) neighbors = &similar.at(video);
-          COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
-                                 store.Roles("plays_in", player, video));
-          const std::set<int64_t> role_set(roles.begin(), roles.end());
-          for (const core::Scene* scene : group->second) {
-            if (scene->player >= 0 && !role_set.count(scene->player)) continue;
-            double similarity = -1.0;
-            if (neighbors != nullptr &&
-                !best_overlap(*neighbors, scene->range, &similarity)) {
-              continue;
-            }
-            SceneHit hit;
-            hit.player_oid = player;
-            hit.player_name = name;
-            hit.video_oid = video;
-            hit.range = scene->range;
-            hit.event = scene->event;
-            hit.text_score = score;
-            hit.similarity = similarity;
-            out.push_back(std::move(hit));
-          }
+      return overlapped;
+    };
+    const std::vector<int32_t>& event_codes = events.StringCodes(kEventNameCol);
+    const std::vector<int64_t>& actors = events.IntColumn(2);
+    const std::vector<int64_t>& begins = events.IntColumn(3);
+    const std::vector<int64_t>& ends = events.IntColumn(4);
+
+    size_t visited = 0;
+    for (const ContentPair& pair : pairs) {
+      // Pairs come in bound order: once one bound ranks strictly after the
+      // N-th hit, no hit of this or any later pair can enter the top-N.
+      if (best.Full() && SceneHitLess(best.Last(), pair.Bound())) break;
+      ++visited;
+      SceneHit hit;
+      hit.player_oid = pair.player;
+      hit.video_oid = pair.video;
+      hit.text_score = pair.score;
+      if (!has_event) {
+        // Similar-only content condition: every neighbor shot of an
+        // indexed video the player plays in is an answer scene.
+        for (const SimilarShot& shot : *pair.neighbors) {
+          hit.range = shot.range;
+          hit.similarity = shot.distance;
+          best.Push(hit);
         }
+        continue;
       }
-    } else {
-      ex.steps.push_back({"events:per_pair", est_pairs, -1});
-      for (int64_t player : players) {
-        COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
-        const double score = score_of(player);
-        COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
-                               store.Traverse("plays_in", {player}));
-        for (int64_t video : videos) {
-          if (!indexed.count(video)) continue;
-          const std::vector<SimilarShot>* neighbors = nullptr;
-          if (has_similar) {
-            auto it = similar.find(video);
-            if (it == similar.end()) continue;
-            neighbors = &it->second;
-          }
-          COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
-                                 store.Roles("plays_in", player, video));
-          const std::set<int64_t> role_set(roles.begin(), roles.end());
-          COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                                 meta.FindScenes(query.event, video));
-          for (const core::Scene& scene : scenes) {
-            if (scene.player >= 0 && !role_set.count(scene.player)) continue;
-            double similarity = -1.0;
-            if (neighbors != nullptr &&
-                !best_overlap(*neighbors, scene.range, &similarity)) {
-              continue;
-            }
-            SceneHit hit;
-            hit.player_oid = player;
-            hit.player_name = name;
-            hit.video_oid = video;
-            hit.range = scene.range;
-            hit.event = scene.event;
-            hit.text_score = score;
-            hit.similarity = similarity;
-            out.push_back(std::move(hit));
-          }
+      COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
+                             store.Roles("plays_in", pair.player, pair.video));
+      for (int64_t row : meta.EventRows(pair.video)) {
+        const size_t r = static_cast<size_t>(row);
+        if (event_codes[r] != event_code) continue;
+        // Court-level events (actor -1) belong to every player of the video.
+        if (actors[r] >= 0 &&
+            std::find(roles.begin(), roles.end(), actors[r]) == roles.end()) {
+          continue;
         }
+        hit.range = FrameInterval{begins[r], ends[r]};
+        hit.similarity = -1.0;
+        if (pair.neighbors != nullptr &&
+            !best_overlap(*pair.neighbors, hit.range, &hit.similarity)) {
+          continue;
+        }
+        best.Push(hit);
       }
     }
+    ex.steps.push_back(
+        {StringFormat("%s:pairs(visited=%zu)", has_event ? "events" : "similar",
+                      visited),
+         static_cast<double>(pairs.size()), static_cast<int64_t>(pairs.size())});
   }
 
+  // Strings are materialized for the kept hits only: one name lookup per
+  // distinct player, and the event name every event hit shares.
+  std::vector<SceneHit> out = best.Take();
+  std::unordered_map<int64_t, std::string> player_names;
+  for (SceneHit& hit : out) {
+    auto it = player_names.find(hit.player_oid);
+    if (it == player_names.end()) {
+      COBRA_ASSIGN_OR_RETURN(storage::Value name,
+                             store.GetAttribute("Player", hit.player_oid, "name"));
+      it = player_names
+               .emplace(hit.player_oid, std::get<std::string>(std::move(name)))
+               .first;
+    }
+    hit.player_name = it->second;
+    if (has_event) hit.event = query.event;
+  }
   ex.steps.push_back({"hits", static_cast<double>(out.size()),
                       static_cast<int64_t>(out.size())});
-  // The shared total order makes equal hit multisets bit-identical.
-  std::sort(out.begin(), out.end(), SceneHitLess);
   return out;
 }
 
 }  // namespace
 
-Result<std::vector<SceneHit>> SearchPlanned(
-    const DigitalLibrary& library, const CombinedQuery& query,
-    text::SearchStats* stats, PlanExplain* explain,
-    const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
+Result<std::vector<SceneHit>> SearchPlanned(const DigitalLibrary& library,
+                                            const SearchRequest& request,
+                                            text::SearchStats* stats,
+                                            PlanExplain* explain) {
   PlanExplain ex;
   Result<std::vector<SceneHit>> result =
-      SearchPlannedImpl(library, query, stats, ex, text_seed, similar_seed);
+      SearchPlannedImpl(library, request, stats, ex);
   if (explain != nullptr) *explain = std::move(ex);
   return result;
 }

@@ -142,12 +142,13 @@ Result<std::vector<SceneHit>> QueryEngine::CachedEval(const std::string& key,
 }
 
 Result<std::vector<SceneHit>> QueryEngine::Search(
-    const CombinedQuery& query, const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
-  return CachedEval(NormalizedKey(query), [&](text::SearchStats* stats) {
+    const SearchRequest& request) {
+  std::string key = NormalizedKey(request.query);
+  AppendInt(static_cast<int64_t>(request.top_n), &key);
+  return CachedEval(key, [&](text::SearchStats* stats) {
     planner::PlanExplain explain;
     Result<std::vector<SceneHit>> result =
-        library_->Search(query, stats, &explain, text_seed, similar_seed);
+        library_->Search(request, stats, &explain);
     if (result.ok()) {
       planner_plans_.fetch_add(1, std::memory_order_relaxed);
       if (explain.short_circuited) {

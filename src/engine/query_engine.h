@@ -8,7 +8,9 @@
 /// Cache protocol (see DESIGN.md "Serving path"):
 ///   * the key is the *normalized* query — predicates sorted into a
 ///     canonical order plus every other query field, so syntactically
-///     different but equivalent queries share one entry;
+///     different but equivalent queries share one entry — plus the
+///     request's top_n, so an entry holds at most top_n hits and answers
+///     only requests for exactly that many;
 ///   * each entry is tagged with the library's index epoch at evaluation
 ///     time; DigitalLibrary bumps the epoch on every mutation that can
 ///     change results (FinalizeText, AddVideoDescription), so a stale
@@ -77,19 +79,16 @@ class QueryEngine {
   /// are in flight.
   QueryEngine(const DigitalLibrary* library, QueryEngineConfig config);
 
-  /// One combined query through the cache. `text_seed` (optional) is a
-  /// precomputed text stage forwarded to DigitalLibrary::Search — results
-  /// are identical with or without it, so seeded and unseeded evaluations
-  /// share cache entries under the same normalized key. `similar_seed` is
-  /// the analogous frontend-resolved similar stage (see SimilarSeed); note
-  /// that unlike the text seed it is *partition-dependent*: on a sharded
-  /// library, seeded and unseeded evaluations of a similar query answer
-  /// different questions (global vs local neighbors), which is fine for the
-  /// serving tier because shard engines are only ever queried seeded.
-  Result<std::vector<SceneHit>> Search(
-      const CombinedQuery& query,
-      const std::map<int64_t, double>* text_seed = nullptr,
-      const SimilarSeed* similar_seed = nullptr);
+  /// One request through the cache, answered by DigitalLibrary::Search:
+  /// the first `request.top_n` hits (0 = all), cached under the normalized
+  /// query plus top_n. The text seed (optional) gives results identical to
+  /// an unseeded evaluation, so seeded and unseeded requests share cache
+  /// entries. The similar seed (see SimilarSeed), unlike the text seed, is
+  /// *partition-dependent*: on a sharded library, seeded and unseeded
+  /// evaluations of a similar query answer different questions (global vs
+  /// local neighbors), which is fine for the serving tier because shard
+  /// engines are only ever queried seeded.
+  Result<std::vector<SceneHit>> Search(const SearchRequest& request);
 
   /// Plans and executes `query` (bypassing the cache), returning the
   /// rendered plan: chosen stage order and estimated vs actual
@@ -111,9 +110,10 @@ class QueryEngine {
   /// Snapshot of the aggregate counters.
   QueryEngineStats stats() const;
 
-  /// Canonical cache key of a combined query: predicates sorted by
-  /// (column, op, literal), then every scalar field, length-delimited so
-  /// distinct queries cannot collide. Exposed for tests.
+  /// Canonical key of a combined query: predicates sorted by (column, op,
+  /// literal), then every scalar field, length-delimited so distinct
+  /// queries cannot collide. The result cache appends the request's top_n;
+  /// the serving frontend routes on this key alone.
   static std::string NormalizedKey(const CombinedQuery& query);
 
  private:

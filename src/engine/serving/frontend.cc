@@ -518,9 +518,10 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
         }
       }
       if (!skip) {
+        // The shard answers only its own top-N: the global top-N is the
+        // top-N of the union of every shard's top-N.
         Result<std::vector<SceneHit>> result = snap->engine->Search(
-            st->query, st->seed ? st->seed.get() : nullptr,
-            st->similar_seed ? st->similar_seed.get() : nullptr);
+            {st->query, st->top_n, st->seed.get(), st->similar_seed.get()});
         std::lock_guard<std::mutex> lock(st->mu);
         ++st->searched;
         if (!result.ok()) {

@@ -8,7 +8,9 @@
 /// the per-shard sorted results into a global top-N under the shared
 /// SceneHitLess total order — so the merged answer is bit-identical to the
 /// unsharded DigitalLibrary::Search oracle truncated to N, for any shard
-/// count.
+/// count. Each shard is asked for its own top-N only (the global top-N is
+/// the top-N of the union of the shards' top-Ns), so its planner stops
+/// early and its result cache holds at most N hits per entry.
 ///
 /// Work reduction, not parallelism, is where the speedup comes from:
 ///   * queries with no content (event) condition are answered entirely by

@@ -7,9 +7,17 @@
 namespace cobra::media {
 
 Frame::Frame(int width, int height, Rgb fill)
-    : width_(width),
-      height_(height),
-      pixels_(static_cast<size_t>(width) * static_cast<size_t>(height), fill) {}
+    : width_(width), height_(height) {
+  const size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
+  // Value-initialized pixels are black and compile to one memset; a fill
+  // copy stores one 3-byte triple at a time, ~10x slower for a frame the
+  // decoder then overwrites anyway.
+  if (fill == Rgb{}) {
+    pixels_.resize(n);
+  } else {
+    pixels_.assign(n, fill);
+  }
+}
 
 void Frame::FillRect(const RectI& rect, Rgb color) {
   RectI r = rect.ClipTo(width_, height_);

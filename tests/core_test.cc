@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/event_grammar.h"
 #include "core/meta_index.h"
 #include "core/tennis_fde.h"
@@ -333,6 +335,38 @@ TEST(MetaIndexTest, PlayerFilter) {
   auto p1 = meta.FindScenes("net_play", 7, 1).TakeValue();
   auto all = meta.FindScenes("net_play", 7).TakeValue();
   EXPECT_EQ(p0.size() + p1.size(), all.size());
+}
+
+TEST(MetaIndexTest, EventRowsFollowRowOrderPerVideo) {
+  auto meta = MetaIndex::Create().TakeValue();
+  VideoDescription again(7, "second pass", 25.0, 1000);
+  again.Add(CobraLayer::kEvent,
+            grammar::Annotation("net_play", {10, 40}).Set("player", int64_t{1}));
+  again.Add(CobraLayer::kEvent, grammar::Annotation("rally", {50, 90}));
+  VideoDescription empty(8, "no events", 25.0, 1000);
+  ASSERT_TRUE(meta.AddVideo(SharedDescription()).ok());  // video 7
+  ASSERT_TRUE(meta.AddVideo(empty).ok());
+  ASSERT_TRUE(meta.AddVideo(again).ok());  // video 7 again, not contiguous
+  const auto& vids = meta.events().IntColumn(0);
+  for (int64_t video : {int64_t{7}, int64_t{8}, int64_t{999}}) {
+    std::vector<int64_t> scanned;
+    for (size_t r = 0; r < vids.size(); ++r) {
+      if (vids[r] == video) scanned.push_back(static_cast<int64_t>(r));
+    }
+    EXPECT_EQ(meta.EventRows(video), scanned) << "video " << video;
+  }
+  EXPECT_TRUE(meta.EventRows(8).empty());
+  const auto& rows = meta.EventRows(7);
+  ASSERT_GE(rows.size(), 3u);
+  EXPECT_EQ(rows[rows.size() - 1], meta.events().num_rows() - 1);
+  // Rebuilt from the tables alone, the index is the same.
+  auto restored = MetaIndex::FromTables(meta.shots(), meta.objects(),
+                                        meta.events(), meta.num_videos())
+                      .TakeValue();
+  for (int64_t video : {int64_t{7}, int64_t{8}, int64_t{999}}) {
+    EXPECT_EQ(restored.EventRows(video), meta.EventRows(video))
+        << "video " << video;
+  }
 }
 
 TEST(MetaIndexTest, UnknownEventEmpty) {

@@ -8,7 +8,10 @@
 ///     surviving record prefix;
 ///   * background compaction (tsan-labeled): queries run concurrently
 ///     with CompactAsync and stay bit-identical before, during, and after
-///     the merged segment is published.
+///     the merged segment is published;
+///   * the meta-index's per-video event rows are the same after AddVideo,
+///     Open (FromTables), WAL replay, Compact and in ShardedIngestSink's
+///     shard copies, for a video described twice and one with no events.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "core/video_description.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
+#include "engine/ingest/ingest.h"
 #include "storage/segment/io.h"
 #include "storage/segment/wal.h"
 #include "util/rng.h"
@@ -46,9 +50,9 @@ webspace::SynthesizedSite MakeSite() {
   return webspace::SiteSynthesizer::Generate(config).TakeValue();
 }
 
-core::VideoDescription MakeVideo(int64_t oid) {
+core::VideoDescription MakeVideo(int64_t oid, uint64_t salt = 5) {
   const char* events[] = {"net_play", "rally", "service", "smash"};
-  Rng rng(static_cast<uint64_t>(oid) * 977 + 5);
+  Rng rng(static_cast<uint64_t>(oid) * 977 + salt);
   core::VideoDescription desc(oid, "synthetic", 25.0, 40000);
   for (int e = 0; e < 24; ++e) {
     const int64_t begin = rng.NextInt(0, 39000);
@@ -355,6 +359,132 @@ TEST(DurableLibraryTest, ConcurrentCompactionKeepsAnswersIdentical) {
   ExpectSameAnswers(*clean, durable->library(), "after second compaction");
   auto reopened = DurableLibrary::Open(dir).TakeValue();
   ExpectSameAnswers(*clean, reopened->library(), "reopen after compaction");
+}
+
+/// `actual`'s per-video event rows against its own events table (the rows
+/// holding the video, ascending) and, row content by row content, against
+/// `expected`'s, for every id in `videos`.
+void ExpectSameEventRows(const core::MetaIndex& expected,
+                         const core::MetaIndex& actual,
+                         const std::vector<int64_t>& videos,
+                         const std::string& label) {
+  const storage::Table& want_table = expected.events();
+  const storage::Table& got_table = actual.events();
+  for (int64_t video : videos) {
+    const std::string where = label + " video " + std::to_string(video);
+    std::vector<int64_t> scanned;
+    for (int64_t r = 0; r < got_table.num_rows(); ++r) {
+      if (got_table.IntColumn(0)[static_cast<size_t>(r)] == video) {
+        scanned.push_back(r);
+      }
+    }
+    EXPECT_EQ(actual.EventRows(video), scanned) << where;
+    const std::vector<int64_t>& want = expected.EventRows(video);
+    const std::vector<int64_t>& got = actual.EventRows(video);
+    ASSERT_EQ(want.size(), got.size()) << where;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const size_t a = static_cast<size_t>(want[i]);
+      const size_t b = static_cast<size_t>(got[i]);
+      EXPECT_EQ(want_table.IntColumn(0)[a], got_table.IntColumn(0)[b]) << where;
+      EXPECT_EQ(want_table.StringColumn(1)[a], got_table.StringColumn(1)[b])
+          << where;
+      for (size_t col : {size_t{2}, size_t{3}, size_t{4}}) {
+        EXPECT_EQ(want_table.IntColumn(col)[a], got_table.IntColumn(col)[b])
+            << where << " col " << col;
+      }
+    }
+  }
+}
+
+TEST(MetaIndexEventRowsTest, SameRowsPerVideoOnEveryRestorePath) {
+  auto site = MakeSite();
+  ASSERT_GE(site.video_oids.size(), 3u);
+  const int64_t twice = site.video_oids[0];
+  const int64_t empty = site.video_oids[2];
+  // Video `twice` is described again last, so its rows are not contiguous;
+  // video `empty` has no events at all.
+  const std::vector<core::VideoDescription> descs = {
+      MakeVideo(twice), MakeVideo(site.video_oids[1]),
+      core::VideoDescription(empty, "no events", 25.0, 40000),
+      MakeVideo(twice, /*salt=*/17)};
+  std::vector<int64_t> ids = site.video_oids;
+  ids.push_back(987654321);  // never indexed
+
+  auto reference = [&](const std::vector<const core::VideoDescription*>& in) {
+    auto meta = core::MetaIndex::Create().TakeValue();
+    for (const core::VideoDescription* desc : in) {
+      EXPECT_TRUE(meta.AddVideo(*desc).ok());
+    }
+    return meta;
+  };
+  std::vector<const core::VideoDescription*> all;
+  for (const auto& desc : descs) all.push_back(&desc);
+  const core::MetaIndex want = reference(all);
+  EXPECT_TRUE(want.EventRows(empty).empty());
+
+  const std::string dir = FreshDir("event_rows");
+  {
+    auto durable = DurableLibrary::Create(dir, site.store).TakeValue();
+    for (const auto& [oid, body] : site.interview_texts) {
+      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+    }
+    ASSERT_TRUE(durable->FinalizeText().ok());
+    ASSERT_TRUE(durable->AddVideoDescription(descs[0]).ok());
+    ASSERT_TRUE(durable->AddVideoDescription(descs[1]).ok());
+    ASSERT_TRUE(durable->Flush().ok());
+    // The rest stays in the WAL.
+    ASSERT_TRUE(durable->AddVideoDescription(descs[2]).ok());
+    ASSERT_TRUE(durable->AddVideoDescription(descs[3]).ok());
+    ExpectSameEventRows(want, durable->library().meta_index(), ids,
+                        "AddVideo");
+  }
+  {
+    auto durable = DurableLibrary::Open(dir).TakeValue();
+    ExpectSameEventRows(want, durable->library().meta_index(), ids,
+                        "FromTables + WAL replay");
+  }
+  {
+    auto durable = DurableLibrary::Open(dir).TakeValue();
+    ASSERT_GE(durable->num_segments(), 2u);
+    ExpectSameEventRows(want, durable->library().meta_index(), ids,
+                        "FromTables");
+    ASSERT_TRUE(durable->Compact().ok());
+    EXPECT_EQ(durable->num_segments(), 1u);
+  }
+  {
+    auto durable = DurableLibrary::Open(dir).TakeValue();
+    ExpectSameEventRows(want, durable->library().meta_index(), ids,
+                        "Compact");
+  }
+
+  // ShardedIngestSink: two seed videos, then the other two live, each
+  // publish swapping which of a shard's two copies serves.
+  serving::CorpusParts seed;
+  seed.store = site.store;
+  for (const auto& [oid, body] : site.interview_texts) {
+    seed.interviews.emplace_back(oid, body);
+  }
+  seed.videos = {descs[0], descs[1]};
+  ingest::ShardedIngestSink::Options options;
+  options.num_shards = 2;
+  auto sink = ingest::ShardedIngestSink::Create(seed, options).TakeValue();
+  for (size_t live = 2; live <= descs.size(); ++live) {
+    for (size_t s = 0; s < sink->num_shards(); ++s) {
+      std::vector<const core::VideoDescription*> routed;
+      for (size_t d = 0; d < live; ++d) {
+        if (sink->router().ShardOf(descs[d].video_id()) == s) {
+          routed.push_back(&descs[d]);
+        }
+      }
+      ExpectSameEventRows(reference(routed),
+                          sink->shard_library(s).meta_index(), ids,
+                          "shard " + std::to_string(s) + " after " +
+                              std::to_string(live) + " videos");
+    }
+    if (live == descs.size()) break;
+    ASSERT_TRUE(sink->Commit(ingest::IngestDelta::Video(descs[live], {})).ok());
+    ASSERT_TRUE(sink->Barrier().ok());
+  }
 }
 
 TEST(DurableLibraryTest, OpenFailsCleanlyOnMissingOrCorruptManifest) {

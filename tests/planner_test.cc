@@ -8,6 +8,8 @@
 ///   * the planner-vs-SearchFixedOrder equivalence property sweep over all
 ///     2^4 modality combinations, randomized selectivities, and degenerate
 ///     corpora — results and errors must be identical;
+///   * a top-N request returns exactly the full answer's prefix, and the
+///     rank-ordered content stage stops early on some of them;
 ///   * errors depend on the query alone: a malformed predicate fails the
 ///     same way alone, after a provably-empty predicate and after a
 ///     matching one, through Search, ExplainSearch, QueryEngine and the
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -23,9 +26,11 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/digital_library.h"
+#include "engine/planner/planner.h"
 #include "engine/query_engine.h"
 #include "engine/query_language.h"
 #include "oracles/fixed_order.h"
@@ -653,6 +658,71 @@ TEST(PlannerEquivalenceTest, DegenerateCorpora) {
           ("no videos combo=" + std::to_string(combo)).c_str());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Top-N pushdown: the rank-ordered content stage returns the full answer's
+// prefix and stops early.
+
+/// Pairs the content stage visited and built, from its explain step
+/// ("events:pairs(visited=V)" / "similar:pairs(visited=V)", est = built);
+/// {-1, -1} when no content stage ran.
+std::pair<int64_t, int64_t> PairsVisitedAndBuilt(
+    const planner::PlanExplain& explain) {
+  for (const planner::PlanStep& step : explain.steps) {
+    const size_t at = step.name.find(":pairs(visited=");
+    if (at == std::string::npos) continue;
+    const int64_t visited =
+        std::stoll(step.name.substr(at + std::strlen(":pairs(visited=")));
+    return {visited, step.actual_rows};
+  }
+  return {-1, -1};
+}
+
+TEST(PlannerTopNTest, SearchPlannedTopNIsTheFullAnswersPrefix) {
+  const PlannerFixture& fixture = SharedFixture();
+  const DigitalLibrary& library = *fixture.library;
+  Rng rng(77);
+  size_t stopped_early = 0;
+  for (int combo = 0; combo < 16; ++combo) {
+    for (int variant = 0; variant < 8; ++variant) {
+      const CombinedQuery query = RandomQuery(&rng, combo);
+      auto full = planner::SearchPlanned(library, query, nullptr, nullptr);
+      for (size_t top_n : {size_t{1}, size_t{2}, size_t{3}, size_t{10},
+                           size_t{37}}) {
+        const std::string label = "combo=" + std::to_string(combo) +
+                                  " variant=" + std::to_string(variant) +
+                                  " n=" + std::to_string(top_n);
+        planner::PlanExplain explain;
+        auto top = planner::SearchPlanned(library, {query, top_n}, nullptr,
+                                          &explain);
+        ASSERT_EQ(full.ok(), top.ok()) << label;
+        if (!full.ok()) {
+          EXPECT_EQ(full.status().ToString(), top.status().ToString())
+              << label;
+          continue;
+        }
+        const size_t want = std::min(top_n, full->size());
+        ASSERT_EQ(top->size(), want) << label;
+        for (size_t i = 0; i < want; ++i) {
+          const SceneHit& a = (*full)[i];
+          const SceneHit& b = (*top)[i];
+          EXPECT_EQ(a.player_oid, b.player_oid) << label << " hit " << i;
+          EXPECT_EQ(a.player_name, b.player_name) << label << " hit " << i;
+          EXPECT_EQ(a.video_oid, b.video_oid) << label << " hit " << i;
+          EXPECT_EQ(a.range.begin, b.range.begin) << label << " hit " << i;
+          EXPECT_EQ(a.range.end, b.range.end) << label << " hit " << i;
+          EXPECT_EQ(a.event, b.event) << label << " hit " << i;
+          EXPECT_EQ(a.text_score, b.text_score) << label << " hit " << i;
+          EXPECT_EQ(a.similarity, b.similarity) << label << " hit " << i;
+        }
+        const auto [visited, built] = PairsVisitedAndBuilt(explain);
+        EXPECT_LE(visited, built) << label;
+        if (visited >= 0 && visited < built) ++stopped_early;
+      }
+    }
+  }
+  EXPECT_GT(stopped_early, 0u);  // the early stop actually fired
 }
 
 TEST(PlannerTest, ExplainReportsShortCircuitAndSteps) {

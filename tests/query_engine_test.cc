@@ -103,6 +103,30 @@ TEST(QueryEngineTest, CacheHitReturnsIdenticalResults) {
   EXPECT_GT(stats.postings_scanned, 0) << "miss should record index work";
 }
 
+TEST(QueryEngineTest, EntriesForDifferentTopNNeverAlias) {
+  auto library = MakeLibrary();
+  QueryEngine engine(library.get(), QueryEngineConfig{});
+  const CombinedQuery query;  // every player: a 10-hit answer
+  const auto full = library->Search(query).TakeValue();
+  ASSERT_GT(full.size(), 3u);
+  auto expect_prefix = [&](const std::vector<SceneHit>& hits, size_t n) {
+    ASSERT_EQ(hits.size(), std::min(n == 0 ? full.size() : n, full.size()));
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].player_oid, full[i].player_oid) << "n=" << n;
+      EXPECT_EQ(hits[i].player_name, full[i].player_name) << "n=" << n;
+    }
+  };
+  expect_prefix(engine.Search({query, 3}).TakeValue(), 3);   // miss
+  expect_prefix(engine.Search(query).TakeValue(), 0);        // miss
+  expect_prefix(engine.Search({query, 1}).TakeValue(), 1);   // miss
+  expect_prefix(engine.Search({query, 3}).TakeValue(), 3);   // hit
+  expect_prefix(engine.Search({query, 0}).TakeValue(), 0);   // hit
+  expect_prefix(engine.Search({query, 1}).TakeValue(), 1);   // hit
+  const QueryEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 3);
+  EXPECT_EQ(stats.cache_hits, 3);
+}
+
 TEST(QueryEngineTest, EpochBumpInvalidatesCache) {
   auto library = MakeLibrary();
   QueryEngine engine(library.get(), QueryEngineConfig{});

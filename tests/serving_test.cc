@@ -3,6 +3,11 @@
 ///   * shard-count invariance: 1, 2 and 7 shards answer the 16-modality
 ///     sweep bit-identically to the unsharded oracle at every top-N, and
 ///     fail malformed queries with the oracle's status;
+///   * the per-shard top-N pushdown: on a corpus full of ties (duplicate
+///     plays_in edges, a video described twice, court-level events, equal
+///     text scores) the frontend's top-N equals the fixed-order oracle's
+///     answer truncated to N, for event, event + text and event + similar
+///     queries;
 ///   * the frontend text seed never changes results (seeded vs unseeded
 ///     evaluation on one library, through the planner and the fixed-order
 ///     oracle);
@@ -16,9 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,6 +41,7 @@
 #include "oracles/malformed_queries.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "vision/signature.h"
 #include "webspace/site_synthesizer.h"
 
 namespace cobra::engine::serving {
@@ -40,9 +49,9 @@ namespace {
 
 using storage::CompareOp;
 
-core::VideoDescription MakeVideo(int64_t oid) {
+core::VideoDescription MakeVideo(int64_t oid, uint64_t salt = 5) {
   const char* events[] = {"net_play", "rally", "service", "smash"};
-  Rng rng(static_cast<uint64_t>(oid) * 977 + 5);
+  Rng rng(static_cast<uint64_t>(oid) * 977 + salt);
   core::VideoDescription desc(oid, "synthetic", 25.0, 40000);
   for (int e = 0; e < 24; ++e) {
     const int64_t begin = rng.NextInt(0, 39000);
@@ -122,6 +131,87 @@ std::vector<CombinedQuery> SweepQueries() {
   return queries;
 }
 
+/// MakeParts plus every kind of SceneHitLess tie and near-tie the top-N
+/// pushdown must keep exact: duplicate plays_in edges, one video described
+/// twice with different events (its rows are not contiguous) and one
+/// described twice identically (duplicate hits), court-level events
+/// (player -1, from MakeVideo), two players of one video sharing an
+/// interview (equal text scores in the same video), and per-shot
+/// signatures where shots s and s + 6 of every video are near shot s of
+/// the others, so event + similar_to queries have answers and a video's
+/// neighbor shots sit at different distances. Returns the shared
+/// interview's oid in `shared_interview`.
+CorpusParts MakeTiedParts(int64_t* shared_interview) {
+  CorpusParts parts = MakeParts();
+  const storage::Table* plays =
+      parts.store.AssociationTable("plays_in").TakeValue();
+  std::vector<std::array<int64_t, 3>> edges;
+  for (int64_t r = 0; r < plays->num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    edges.push_back({plays->IntColumn(0)[i], plays->IntColumn(1)[i],
+                     plays->IntColumn(2)[i]});
+  }
+  for (size_t e = 0; e < 8 && e < edges.size(); ++e) {
+    EXPECT_TRUE(
+        parts.store.Link("plays_in", edges[e][0], edges[e][1], edges[e][2])
+            .ok());
+  }
+  // The first two distinct players of one video share the first one's
+  // interview.
+  const int64_t video = edges.front()[1];
+  int64_t first = -1, second = -1;
+  for (const auto& [player, to, role] : edges) {
+    if (to != video) continue;
+    if (first < 0) {
+      first = player;
+    } else if (player != first) {
+      second = player;
+      break;
+    }
+  }
+  EXPECT_GE(second, 0);
+  auto interviews = parts.store.Traverse("interviewed_in", {first});
+  EXPECT_TRUE(interviews.ok() && !interviews->empty());
+  *shared_interview = interviews->front();
+  EXPECT_TRUE(
+      parts.store.Link("interviewed_in", second, *shared_interview).ok());
+  const int64_t twice = parts.videos[1].video_id();
+  parts.videos.push_back(MakeVideo(twice, /*salt=*/11));
+  parts.videos.push_back(parts.videos[2]);
+
+  Rng rng(515);
+  auto random_signature = [&rng] {
+    vision::ShotSignature sig;
+    for (uint64_t& word : sig.hash) word = rng.NextU64();
+    for (uint8_t& byte : sig.sketch) {
+      byte = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    return sig;
+  };
+  std::vector<vision::ShotSignature> bases;
+  for (int s = 0; s < 6; ++s) bases.push_back(random_signature());
+  std::set<int64_t> signed_videos;
+  for (const core::VideoDescription& desc : parts.videos) {
+    if (!signed_videos.insert(desc.video_id()).second) continue;
+    std::vector<vision::SignatureRecord> records;
+    for (int s = 0; s < 12; ++s) {
+      vision::SignatureRecord rec;
+      rec.sig = bases[static_cast<size_t>(s % 6)];
+      for (int flip = 1 + static_cast<int>(rng.NextBounded(12)); flip > 0;
+           --flip) {
+        const uint32_t bit = static_cast<uint32_t>(rng.NextBounded(256));
+        rec.sig.hash[bit / 64] ^= uint64_t{1} << (bit % 64);
+      }
+      rec.video_id = desc.video_id();
+      rec.begin = s * 3300;
+      rec.end = s * 3300 + 3299;
+      records.push_back(rec);
+    }
+    parts.signatures.emplace_back(desc.video_id(), std::move(records));
+  }
+  return parts;
+}
+
 void ExpectBitIdentical(const std::vector<SceneHit>& expected,
                         const std::vector<SceneHit>& actual,
                         const std::string& label) {
@@ -138,6 +228,9 @@ void ExpectBitIdentical(const std::vector<SceneHit>& expected,
     uint64_t bits_a = 0, bits_b = 0;
     std::memcpy(&bits_a, &a.text_score, 8);
     std::memcpy(&bits_b, &b.text_score, 8);
+    EXPECT_EQ(bits_a, bits_b) << label << " hit " << i;
+    std::memcpy(&bits_a, &a.similarity, 8);
+    std::memcpy(&bits_b, &b.similarity, 8);
     EXPECT_EQ(bits_a, bits_b) << label << " hit " << i;
   }
 }
@@ -378,6 +471,81 @@ TEST(ServingFrontendTest, EpochBumpOnOneShardInvalidatesOnlyThatShard) {
                      "concept after mutation");
 }
 
+TEST(ServingFrontendTest, TopNPushdownMatchesFixedOrderOracleOnTies) {
+  int64_t shared = -1;
+  const CorpusParts parts = MakeTiedParts(&shared);
+  auto oracle = BuildLibrary(parts).TakeValue();
+  // The shared interview's own words: its two players tie on text score.
+  std::string shared_text;
+  for (const auto& [oid, body] : parts.interviews) {
+    if (oid == shared) shared_text = body.substr(0, 60);
+  }
+  ASSERT_FALSE(shared_text.empty());
+
+  std::vector<CombinedQuery> queries = SweepQueries();
+  const int64_t probe = parts.videos.front().video_id();
+  Rng rng(7);
+  for (int i = 0; i < 24; ++i) {
+    CombinedQuery query;
+    if (i % 4 != 3) {
+      query.similar_video = probe;
+      query.similar_frame = rng.NextInt(0, 39599);
+      query.similar_k = i % 3 == 0 ? 0 : 1 + rng.NextBounded(30);
+    }
+    if (i % 4 != 0) query.event = i % 2 == 0 ? "net_play" : "rally";
+    if (i % 4 >= 2) {
+      query.text = i % 3 == 0 ? std::string("champion title") : shared_text;
+      query.text_top_k = 2 + rng.NextBounded(8);
+    }
+    queries.push_back(std::move(query));
+  }
+
+  bool saw_duplicate = false;
+  bool saw_equal_scores = false;
+  for (const CombinedQuery& query : queries) {
+    auto full = SearchFixedOrder(*oracle, query);
+    if (!full.ok()) continue;
+    for (size_t i = 1; i < full->size(); ++i) {
+      const SceneHit& a = (*full)[i - 1];
+      const SceneHit& b = (*full)[i];
+      saw_duplicate = saw_duplicate ||
+                      (!SceneHitLess(a, b) && a.video_oid >= 0);
+      saw_equal_scores = saw_equal_scores ||
+                         (a.text_score > 0 && a.text_score == b.text_score &&
+                          a.video_oid == b.video_oid &&
+                          a.player_oid != b.player_oid);
+    }
+  }
+  EXPECT_TRUE(saw_duplicate);     // identical hits from the repeated video
+  EXPECT_TRUE(saw_equal_scores);  // the shared interview's players, one video
+
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{7}}) {
+    auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
+    ServingConfig config;
+    config.replicas = 2;
+    auto frontend = ServingFrontend::Create(Views(shards), config).TakeValue();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      auto full = SearchFixedOrder(*oracle, queries[qi]);
+      for (size_t top_n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           size_t{10}, size_t{37}}) {
+        const std::string label = "shards=" + std::to_string(num_shards) +
+                                  " query=" + std::to_string(qi) +
+                                  " n=" + std::to_string(top_n);
+        auto actual = frontend->Search(queries[qi], top_n);
+        ASSERT_EQ(full.ok(), actual.ok())
+            << label << " " << full.status().ToString() << " vs "
+            << actual.status().ToString();
+        if (!full.ok()) {
+          EXPECT_EQ(full.status().ToString(), actual.status().ToString())
+              << label;
+          continue;
+        }
+        ExpectBitIdentical(Truncate(*full, top_n), *actual, label);
+      }
+    }
+  }
+}
+
 TEST(ServingFrontendTest, SeededLibrarySearchMatchesUnseeded) {
   const CorpusParts parts = MakeParts();
   auto library = BuildLibrary(parts).TakeValue();
@@ -391,7 +559,8 @@ TEST(ServingFrontendTest, SeededLibrarySearchMatchesUnseeded) {
       auto unseeded =
           planner ? library->Search(query) : SearchFixedOrder(*library, query);
       auto seeded =
-          planner ? library->Search(query, nullptr, &explain, &seed.value())
+          planner ? library->Search({query, 0, &seed.value()}, nullptr,
+                                    &explain)
                   : SearchFixedOrder(*library, query, nullptr, &seed.value());
       ASSERT_EQ(unseeded.ok(), seeded.ok());
       if (!unseeded.ok()) {
