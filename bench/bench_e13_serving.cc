@@ -2,8 +2,8 @@
 /// E13 — sharded scatter-gather serving (DESIGN.md §4i). A closed-loop
 /// mixed traffic stream (concept-only, text, and content queries) is
 /// answered by
-///   a) the single-node engine::QueryEngine over the unsharded library
-///      (full result sets — the engine has no top-N API), and
+///   a) the single-node engine::QueryEngine over the unsharded library,
+///      asked for the same top-10 as the frontend arms, and
 ///   b) the ServingFrontend at 1, 2 and 4 shards serving the global
 ///      top-10 via the block-max-bounded merge;
 /// reporting max sustainable QPS plus p50/p99 latency for each, the 4-shard
@@ -184,15 +184,17 @@ int main() {
   std::printf("corpus: %zu videos, %zu interviews, stream of %zu queries\n",
               parts.videos.size(), parts.interviews.size(), stream.size());
 
-  // ---- a) single-node baseline: full result sets from one engine. ----
+  // ---- a) single-node baseline: the top-10 from one engine. ----
   engine::QueryEngineConfig engine_config;
   engine_config.num_threads = 1;
   engine::QueryEngine baseline(oracle.get(), engine_config);
   for (size_t i = 0; i < stream.size(); i += 10) {
-    (void)baseline.Search(stream[i]);  // warm the cache + page the index
+    // Warm the cache + page the index.
+    (void)baseline.Search({stream[i], kTopN});
   }
-  const LoopResult base =
-      ClosedLoop(stream, [&](const CombinedQuery& q) { (void)baseline.Search(q); });
+  const LoopResult base = ClosedLoop(stream, [&](const CombinedQuery& q) {
+    (void)baseline.Search({q, kTopN});
+  });
   std::printf("baseline        %8.1f qps   p50 %7.3f ms   p99 %7.3f ms\n",
               base.qps, base.p50_ms, base.p99_ms);
   bench::PrintJsonMetric(kBench, "baseline_qps", base.qps);

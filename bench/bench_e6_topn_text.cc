@@ -3,7 +3,8 @@
 /// top-N-optimized evaluation. Three evaluators are compared:
 ///   * exhaustive  — score every posting, sort, truncate;
 ///   * taat        — the previous term-at-a-time quality-cutoff optimizer
-///                   (kept as SearchTopNTaat, the "before" reference);
+///                   (the test-only SearchTopNTaat in tests/oracles, the
+///                   "before" reference);
 ///   * daat        — the document-at-a-time maxscore/block-max evaluator
 ///                   behind SearchTopN.
 /// Reproduced shape: the optimized evaluators scan fewer postings and are
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "oracles/taat.h"
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 
@@ -68,6 +70,7 @@ void RunTable() {
   const int kQueries = 16;
   for (size_t docs : {4000, 16000, 100000}) {
     auto index = BuildIndex(docs, 7);
+    const auto ranges = index->TermRanges().TakeValue();
     for (size_t n : {1, 10, 100}) {
       EvalResult exh, taat, daat;
       bool identical = true;
@@ -82,7 +85,8 @@ void RunTable() {
         exh.postings += stats.postings_scanned;
 
         t0 = std::chrono::steady_clock::now();
-        auto reference = index->SearchTopNTaat(query, n, &stats).TakeValue();
+        auto reference =
+            text::SearchTopNTaat(ranges, query, n, &stats).TakeValue();
         t1 = std::chrono::steady_clock::now();
         taat.ms.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -140,12 +144,13 @@ void RunTable() {
 
 void BM_Search(benchmark::State& state) {
   static auto index = BuildIndex(16000, 7);
+  static const auto ranges = index->TermRanges().TakeValue();
   const int mode = static_cast<int>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
   std::string query = BenchQuery(3);
   for (auto _ : state) {
     auto hits = mode == 2   ? index->SearchTopN(query, n)
-                : mode == 1 ? index->SearchTopNTaat(query, n)
+                : mode == 1 ? text::SearchTopNTaat(ranges, query, n)
                             : index->SearchExhaustive(query, n);
     benchmark::DoNotOptimize(hits);
   }

@@ -86,8 +86,7 @@ Status DurableLibrary::WriteManifestLocked() {
 }
 
 storage::segment::LibraryDelta DurableLibrary::BuildDeltaLocked(
-    const text::InvertedIndex* text,
-    const text::CompressedInvertedIndex* compressed) const {
+    const text::InvertedIndex* text) const {
   seg::LibraryDelta delta;
   delta.index_epoch = library_->index_epoch();
   delta.store = &library_->store();
@@ -100,7 +99,6 @@ storage::segment::LibraryDelta DurableLibrary::BuildDeltaLocked(
   const std::vector<int64_t>& videos = library_->indexed_videos();
   delta.new_video_oids.assign(videos.begin() + videos_flushed_, videos.end());
   delta.text = text;
-  delta.compressed_text = compressed;
   // A snapshot contains every interview, so pending would be redundant.
   if (text == nullptr) delta.pending_interviews = pending_;
   delta.signature_chunks =
@@ -108,17 +106,11 @@ storage::segment::LibraryDelta DurableLibrary::BuildDeltaLocked(
   return delta;
 }
 
-Status DurableLibrary::FlushLocked(bool /*flush_on_open*/) {
+Status DurableLibrary::FlushLocked() {
   const text::InvertedIndex& interviews = library_->interviews();
   const bool include_text = interviews.finalized() && !text_persisted_;
-  std::optional<text::CompressedInvertedIndex> compressed;
-  if (include_text) {
-    COBRA_ASSIGN_OR_RETURN(
-        compressed, text::CompressedInvertedIndex::FromIndex(interviews));
-  }
-  const seg::LibraryDelta delta = BuildDeltaLocked(
-      include_text ? &interviews : nullptr,
-      compressed.has_value() ? &*compressed : nullptr);
+  const seg::LibraryDelta delta =
+      BuildDeltaLocked(include_text ? &interviews : nullptr);
 
   const std::string seg_name = SegmentFileName(manifest_.next_file_number++);
   COBRA_RETURN_NOT_OK(
@@ -190,7 +182,7 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
   out->assoc_flushed_rows_.assign(
       out->library_->store().schema().associations().size(), 0);
   std::lock_guard<std::mutex> lock(out->manifest_mutex_);
-  COBRA_RETURN_NOT_OK(out->FlushLocked(false));
+  COBRA_RETURN_NOT_OK(out->FlushLocked());
   return out;
 }
 
@@ -314,7 +306,7 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
   if (!records.empty()) {
     // Fold the replayed window into a segment immediately so recovery
     // cost never compounds across restarts.
-    COBRA_RETURN_NOT_OK(out->FlushLocked(true));
+    COBRA_RETURN_NOT_OK(out->FlushLocked());
   } else {
     // Nothing replayed: restart the (empty or torn-garbage-only) log.
     COBRA_ASSIGN_OR_RETURN(
@@ -391,7 +383,7 @@ Status DurableLibrary::Flush() {
   // in memory, and no record can land in the WAL between the segment
   // build and the rotation.
   std::scoped_lock lock(mutate_mutex_, manifest_mutex_);
-  return FlushLocked(false);
+  return FlushLocked();
 }
 
 Status DurableLibrary::Compact() {
@@ -426,11 +418,6 @@ Status DurableLibrary::Compact() {
           std::move(parts.shots), std::move(parts.objects),
           std::move(parts.events),
           static_cast<int64_t>(parts.indexed_videos.size())));
-  std::optional<text::CompressedInvertedIndex> compressed;
-  if (parts.text.has_value()) {
-    COBRA_ASSIGN_OR_RETURN(
-        compressed, text::CompressedInvertedIndex::FromIndex(*parts.text));
-  }
   seg::LibraryDelta delta;
   delta.index_epoch = parts.index_epoch;
   delta.store = &store;
@@ -439,7 +426,6 @@ Status DurableLibrary::Compact() {
   delta.meta = &meta;
   delta.new_video_oids = parts.indexed_videos;
   delta.text = parts.text.has_value() ? &*parts.text : nullptr;
-  delta.compressed_text = compressed.has_value() ? &*compressed : nullptr;
   if (!parts.text.has_value()) {
     delta.pending_interviews = std::move(parts.pending_interviews);
   }
@@ -523,17 +509,6 @@ int64_t DurableLibrary::wal_records_committed() const {
 size_t DurableLibrary::num_segments() const {
   std::lock_guard<std::mutex> lock(manifest_mutex_);
   return manifest_.segments.size();
-}
-
-Result<text::CompressedInvertedIndex> DurableLibrary::LoadCompressedText()
-    const {
-  std::lock_guard<std::mutex> lock(manifest_mutex_);
-  for (auto it = readers_.rbegin(); it != readers_.rend(); ++it) {
-    if ((*it)->has_section(seg::SectionId::kTextCompressed)) {
-      return (*it)->LoadCompressedText(options_.copy_text);
-    }
-  }
-  return Status::NotFound("no segment carries a compressed text snapshot");
 }
 
 }  // namespace cobra::engine

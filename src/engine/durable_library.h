@@ -137,10 +137,6 @@ class DurableLibrary {
   /// (records/sync ≈ achieved commit-group size).
   int64_t wal_sync_calls() const;
   int64_t wal_records_committed() const;
-  /// The compressed text snapshot of the newest segment carrying one, in
-  /// the open mode's flavor (zero-copy views unless copy_text). Absent
-  /// until a flush persisted the finalized index.
-  Result<text::CompressedInvertedIndex> LoadCompressedText() const;
 
  private:
   DurableLibrary() = default;
@@ -153,10 +149,9 @@ class DurableLibrary {
 
   static Result<Manifest> ReadManifest(const std::string& dir);
   Status WriteManifestLocked();
-  Status FlushLocked(bool flush_on_open);
+  Status FlushLocked();
   storage::segment::LibraryDelta BuildDeltaLocked(
-      const text::InvertedIndex* text,
-      const text::CompressedInvertedIndex* compressed) const;
+      const text::InvertedIndex* text) const;
 
   std::string dir_;
   Options options_;

@@ -49,9 +49,9 @@ enum class SectionId : uint32_t {
   /// doc norms plus per-term idf/max_weight and raw Posting[]/BlockMeta[]
   /// arrays, mapped back zero-copy.
   kTextIndex = 6,
-  /// Compressed (delta+varbyte) snapshot of the same postings with their
-  /// skip-block side tables; cursors stream straight from the mapping.
-  kTextCompressed = 7,
+  // Id 7 is reserved: older segments carry a delta+varbyte copy of the
+  // kTextIndex postings under it. Readers CRC-check that section like any
+  // other, then ignore it; Compact() drops it. Never reuse the id.
   /// Interviews added but not yet finalized: replayed on restore when no
   /// newer segment carries a kTextIndex snapshot.
   kPendingInterviews = 8,

@@ -13,20 +13,12 @@ namespace cobra::storage::segment {
 
 namespace {
 
-using text::CompressedInvertedIndex;
-using text::CompressedPostings;
 using text::InvertedIndex;
 using webspace::AssociationDef;
 using webspace::AttributeDef;
 using webspace::ClassDef;
 using webspace::ConceptSchema;
 
-// The skip-block side table is persisted as a raw array; its layout is part
-// of the on-disk format (u64 byte_offset, i64 prev_doc, i64 last_doc,
-// f64 max_weight on the LP64 targets this builds for).
-static_assert(std::is_trivially_copyable_v<CompressedPostings::SkipBlock> &&
-                  sizeof(CompressedPostings::SkipBlock) == 32,
-              "SkipBlock is persisted as raw bytes");
 static_assert(sizeof(size_t) == 8, "segment format assumes 64-bit offsets");
 
 Status Corrupt(const char* what) {
@@ -299,40 +291,6 @@ Status BuildTextIndex(const InvertedIndex& index, ByteWriter* out) {
   return Status::OK();
 }
 
-void BuildCompressedText(const CompressedInvertedIndex& index,
-                         ByteWriter* out) {
-  uint64_t num_terms = 0, total_bytes = 0, total_blocks = 0;
-  index.ForEachTerm([&](const std::string&, double,
-                        const CompressedPostings& postings) {
-    ++num_terms;
-    total_bytes += postings.SizeBytes();
-    total_blocks += postings.num_blocks();
-  });
-  out->PutU64(num_terms);
-  index.ForEachTerm([&](const std::string& term, double idf,
-                        const CompressedPostings& postings) {
-    out->PutString(term);
-    out->PutDouble(idf);
-    out->PutDouble(postings.max_weight());
-    out->PutU64(postings.count());
-    out->PutU64(postings.SizeBytes());
-    out->PutU64(postings.num_blocks());
-  });
-  out->PutU64(total_bytes);
-  index.ForEachTerm([&](const std::string&, double,
-                        const CompressedPostings& postings) {
-    out->PutRaw(postings.data(), postings.SizeBytes());
-  });
-  out->Align(8);
-  out->PutU64(total_blocks);
-  index.ForEachTerm([&](const std::string&, double,
-                        const CompressedPostings& postings) {
-    out->PutRaw(postings.blocks().data(),
-                postings.blocks().size() *
-                    sizeof(CompressedPostings::SkipBlock));
-  });
-}
-
 void BuildPending(const LibraryDelta& delta, ByteWriter* out) {
   out->PutU64(delta.pending_interviews.size());
   for (const auto& [oid, text] : delta.pending_interviews) {
@@ -404,12 +362,6 @@ Status WriteSegment(const LibraryDelta& delta, const std::string& path,
   if (delta.text != nullptr) {
     add(SectionId::kTextIndex,
         [&delta](ByteWriter* w) { return BuildTextIndex(*delta.text, w); });
-    if (delta.compressed_text != nullptr) {
-      add(SectionId::kTextCompressed, [&delta](ByteWriter* w) {
-        BuildCompressedText(*delta.compressed_text, w);
-        return Status::OK();
-      });
-    }
   }
   if (!delta.pending_interviews.empty()) {
     add(SectionId::kPendingInterviews, [&delta](ByteWriter* w) {
@@ -715,77 +667,6 @@ Result<InvertedIndex> SegmentReader::LoadTextIndex(bool copy) const {
     b += counts[t].second;
   }
   return InvertedIndex::FromTerms(std::move(terms), std::move(norms), copy);
-}
-
-Result<CompressedInvertedIndex> SegmentReader::LoadCompressedText(
-    bool copy) const {
-  COBRA_ASSIGN_OR_RETURN(ByteReader in, Section(SectionId::kTextCompressed));
-  uint64_t num_terms = 0;
-  if (!in.GetU64(&num_terms) || num_terms > in.remaining()) {
-    return Corrupt("compressed term count");
-  }
-  struct Dir {
-    std::string term;
-    double idf, max_weight;
-    uint64_t count, byte_size, num_blocks;
-  };
-  std::vector<Dir> dir(num_terms);
-  uint64_t total_bytes = 0, total_blocks = 0;
-  for (Dir& d : dir) {
-    if (!in.GetString(&d.term) || !in.GetDouble(&d.idf) ||
-        !in.GetDouble(&d.max_weight) || !in.GetU64(&d.count) ||
-        !in.GetU64(&d.byte_size) || !in.GetU64(&d.num_blocks)) {
-      return Corrupt("compressed term directory");
-    }
-    total_bytes += d.byte_size;
-    total_blocks += d.num_blocks;
-  }
-  uint64_t stored_bytes = 0;
-  const uint8_t* bytes_base = nullptr;
-  if (!in.GetU64(&stored_bytes) || stored_bytes != total_bytes ||
-      total_bytes > in.remaining() ||
-      !in.GetView(total_bytes, &bytes_base)) {
-    return Corrupt("compressed postings blob");
-  }
-  if (!in.SkipAlign(8)) return Corrupt("compressed blob padding");
-  uint64_t stored_blocks = 0;
-  const uint8_t* blocks_base = nullptr;
-  if (!in.GetU64(&stored_blocks) || stored_blocks != total_blocks ||
-      total_blocks >
-          in.remaining() / sizeof(CompressedPostings::SkipBlock) ||
-      !in.GetView(total_blocks * sizeof(CompressedPostings::SkipBlock),
-                  &blocks_base)) {
-    return Corrupt("compressed blocks blob");
-  }
-  std::vector<CompressedInvertedIndex::TermPart> parts;
-  parts.reserve(num_terms);
-  uint64_t byte_off = 0, block_off = 0;
-  for (Dir& d : dir) {
-    std::vector<CompressedPostings::SkipBlock> blocks(d.num_blocks);
-    std::memcpy(blocks.data(),
-                blocks_base + block_off * sizeof(CompressedPostings::SkipBlock),
-                d.num_blocks * sizeof(CompressedPostings::SkipBlock));
-    // Every block's byte window must stay inside this term's bytes so a
-    // cursor can never be steered outside the blob.
-    for (const CompressedPostings::SkipBlock& blk : blocks) {
-      if (blk.byte_offset > d.byte_size) {
-        return Corrupt("compressed skip block out of range");
-      }
-    }
-    CompressedPostings postings =
-        copy ? CompressedPostings::FromRaw(
-                   std::vector<uint8_t>(bytes_base + byte_off,
-                                        bytes_base + byte_off + d.byte_size),
-                   std::move(blocks), d.count, d.max_weight)
-             : CompressedPostings::FromRawView(bytes_base + byte_off,
-                                               d.byte_size, std::move(blocks),
-                                               d.count, d.max_weight);
-    parts.push_back(CompressedInvertedIndex::TermPart{
-        std::move(d.term), d.idf, std::move(postings)});
-    byte_off += d.byte_size;
-    block_off += d.num_blocks;
-  }
-  return CompressedInvertedIndex::FromParts(std::move(parts));
 }
 
 Result<std::vector<std::pair<int64_t, std::string>>>

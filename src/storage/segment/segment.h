@@ -30,7 +30,6 @@
 #include "storage/segment/format.h"
 #include "storage/segment/io.h"
 #include "storage/table.h"
-#include "text/compressed_index.h"
 #include "text/inverted_index.h"
 #include "util/thread_pool.h"
 #include "vision/signature.h"
@@ -74,8 +73,6 @@ struct LibraryDelta {
   /// Full finalized text snapshot; null while the index is still open or
   /// when an earlier segment already persisted it.
   const text::InvertedIndex* text = nullptr;
-  /// Compressed snapshot persisted alongside `text` (may be null).
-  const text::CompressedInvertedIndex* compressed_text = nullptr;
   /// Interviews added in this window while the index was still open.
   std::vector<std::pair<int64_t, std::string>> pending_interviews;
   /// Shot signature records added in this window, as the chunk spans the
@@ -94,7 +91,7 @@ Status WriteSegment(const LibraryDelta& delta, const std::string& path,
                     util::ThreadPool* pool = nullptr);
 
 /// An opened, validated segment. Owns the memory mapping; every view the
-/// reader hands out (restored text spans, compressed cursors) borrows from
+/// reader hands out (restored text spans, signature records) borrows from
 /// it and dies with it.
 class SegmentReader {
  public:
@@ -128,10 +125,6 @@ class SegmentReader {
   /// With copy=false the postings/blocks spans point into this reader's
   /// mapping (the reader must outlive the index and every copy of it).
   Result<text::InvertedIndex> LoadTextIndex(bool copy) const;
-
-  /// Restores the compressed text index from kTextCompressed. With
-  /// copy=false cursors stream the varbyte bytes from the mapping.
-  Result<text::CompressedInvertedIndex> LoadCompressedText(bool copy) const;
 
   /// Decoded kPendingInterviews (empty when the section is absent).
   Result<std::vector<std::pair<int64_t, std::string>>> PendingInterviews()

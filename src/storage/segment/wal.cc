@@ -15,8 +15,7 @@ using grammar::MetaValue;
 namespace {
 
 /// Frames one record ([u32 len][u32 crc][u8 type][payload]) onto `out` —
-/// the single encoding both WalWriter and GroupCommitWal write and
-/// ReplayWal reads.
+/// the encoding GroupCommitWal writes and ReplayWal reads.
 void FrameRecord(WalRecordType type, const ByteWriter& payload,
                  ByteWriter* out) {
   out->PutU32(static_cast<uint32_t>(payload.size()));
@@ -28,23 +27,6 @@ void FrameRecord(WalRecordType type, const ByteWriter& payload,
 }
 
 }  // namespace
-
-Result<WalWriter> WalWriter::Open(const std::string& path, bool sync_each) {
-  WalWriter out;
-  COBRA_ASSIGN_OR_RETURN(out.file_, AppendFile::Open(path));
-  out.sync_each_ = sync_each;
-  return out;
-}
-
-Status WalWriter::AppendRecord(WalRecordType type, const ByteWriter& payload) {
-  ByteWriter frame;
-  FrameRecord(type, payload, &frame);
-  COBRA_RETURN_NOT_OK(file_.Append(frame.buffer().data(), frame.size()));
-  return sync_each_ ? file_.Sync() : Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// GroupCommitWal
 
 Result<std::unique_ptr<GroupCommitWal>> GroupCommitWal::Open(
     const std::string& path, WalMode mode) {
@@ -211,35 +193,6 @@ Status GroupCommitWal::AppendSignatures(
   COBRA_ASSIGN_OR_RETURN(uint64_t seq, StageSignatures(video_id, records));
   return WaitDurable(seq);
 }
-
-Status WalWriter::AppendInterview(int64_t oid, const std::string& text) {
-  ByteWriter payload;
-  payload.PutI64(oid);
-  payload.PutString(text);
-  return AppendRecord(WalRecordType::kAddInterview, payload);
-}
-
-Status WalWriter::AppendFinalizeText() {
-  return AppendRecord(WalRecordType::kFinalizeText, ByteWriter());
-}
-
-Status WalWriter::AppendVideo(const VideoDescription& desc) {
-  ByteWriter payload;
-  EncodeVideoDescription(desc, &payload);
-  return AppendRecord(WalRecordType::kAddVideo, payload);
-}
-
-Status WalWriter::AppendSignatures(
-    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
-  ByteWriter payload;
-  payload.PutI64(video_id);
-  payload.PutU64(records.size());
-  payload.PutRaw(records.data(),
-                 records.size() * sizeof(vision::SignatureRecord));
-  return AppendRecord(WalRecordType::kAddSignatures, payload);
-}
-
-Status WalWriter::Sync() { return file_.Sync(); }
 
 void EncodeVideoDescription(const VideoDescription& desc, ByteWriter* out) {
   out->PutI64(desc.video_id());

@@ -46,31 +46,6 @@ struct WalRecord {
   std::vector<vision::SignatureRecord> signatures;
 };
 
-/// Appends framed records to one log file. When `sync_each` is set every
-/// append fdatasyncs before returning (durable against power loss); off,
-/// records are durable only against process crash until the next Sync().
-class WalWriter {
- public:
-  static Result<WalWriter> Open(const std::string& path, bool sync_each);
-
-  WalWriter() = default;
-  WalWriter(WalWriter&&) = default;
-  WalWriter& operator=(WalWriter&&) = default;
-
-  Status AppendInterview(int64_t oid, const std::string& text);
-  Status AppendFinalizeText();
-  Status AppendVideo(const core::VideoDescription& desc);
-  Status AppendSignatures(int64_t video_id,
-                          const std::vector<vision::SignatureRecord>& records);
-  Status Sync();
-
- private:
-  Status AppendRecord(WalRecordType type, const ByteWriter& payload);
-
-  AppendFile file_;
-  bool sync_each_ = true;
-};
-
 /// How WAL appends reach stable storage (DESIGN.md §4k).
 enum class WalMode : uint8_t {
   /// fdatasync after every record, serialized — the E12/E15 durability
@@ -89,10 +64,9 @@ enum class WalMode : uint8_t {
   kBuffered,
 };
 
-/// A concurrent write-ahead log with group commit. Unlike WalWriter (one
-/// writer, one frame at a time), any number of threads may stage records
-/// concurrently; the on-file frame format and torn-tail replay semantics
-/// are identical (ReplayWal reads both).
+/// The write-ahead log writer, with group commit. Any number of threads
+/// may stage records concurrently; each lands in the file as one frame of
+/// the layout in the file comment, which ReplayWal reads back.
 ///
 /// The two-phase surface is what lets callers overlap durability waits:
 ///   seq = Stage...(...)   // frames + orders the record; returns at once

@@ -10,33 +10,20 @@ namespace cobra::text {
 
 Result<CompressedInvertedIndex> CompressedInvertedIndex::FromIndex(
     const InvertedIndex& index) {
-  COBRA_ASSIGN_OR_RETURN(auto snapshots, index.ExportTerms());
+  COBRA_ASSIGN_OR_RETURN(std::vector<InvertedIndex::TermRange> ranges,
+                         index.TermRanges());
   CompressedInvertedIndex out;
-  for (auto& snapshot : snapshots) {
-    std::vector<DecodedPosting> postings;
-    postings.reserve(snapshot.postings.size());
-    for (const SearchHit& hit : snapshot.postings) {
-      postings.push_back(DecodedPosting{hit.doc_id, hit.score});
+  std::vector<DecodedPosting> postings;
+  for (const InvertedIndex::TermRange& range : ranges) {
+    postings.clear();
+    for (const InvertedIndex::Posting& p : range.postings) {
+      postings.push_back(DecodedPosting{p.doc_id, p.weight});
     }
     COBRA_ASSIGN_OR_RETURN(CompressedPostings compressed,
                            CompressedPostings::Encode(postings));
     out.total_postings_ += postings.size();
-    out.terms_.emplace(std::move(snapshot.term),
-                       TermEntry{snapshot.idf, std::move(compressed)});
-  }
-  return out;
-}
-
-Result<CompressedInvertedIndex> CompressedInvertedIndex::FromParts(
-    std::vector<TermPart> parts) {
-  CompressedInvertedIndex out;
-  for (TermPart& part : parts) {
-    out.total_postings_ += part.postings.count();
-    auto [it, inserted] = out.terms_.emplace(
-        std::move(part.term), TermEntry{part.idf, std::move(part.postings)});
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate term in restored index");
-    }
+    out.terms_.emplace(*range.term,
+                       TermEntry{range.idf, std::move(compressed)});
   }
   return out;
 }

@@ -24,26 +24,6 @@ class CompressedInvertedIndex {
   /// Builds the compressed snapshot from a finalized index.
   static Result<CompressedInvertedIndex> FromIndex(const InvertedIndex& index);
 
-  /// One term of a restored index (see FromParts).
-  struct TermPart {
-    std::string term;
-    double idf = 0.0;
-    CompressedPostings postings;
-  };
-
-  /// Reassembles an index from persisted parts. A segment reader builds
-  /// the postings with CompressedPostings::FromRawView, so evaluation
-  /// streams straight out of the mapped file without copying the varbyte
-  /// bytes. Terms must be unique.
-  static Result<CompressedInvertedIndex> FromParts(std::vector<TermPart> parts);
-
-  /// Per-term visitation in term order, for serialization:
-  /// fn(const std::string& term, double idf, const CompressedPostings&).
-  template <typename Fn>
-  void ForEachTerm(Fn&& fn) const {
-    for (const auto& [term, entry] : terms_) fn(term, entry.idf, entry.postings);
-  }
-
   int64_t num_terms() const { return static_cast<int64_t>(terms_.size()); }
 
   /// Total compressed postings bytes.

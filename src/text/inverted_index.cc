@@ -129,26 +129,6 @@ int64_t InvertedIndex::DocumentFrequency(const std::string& term) const {
                                          : info.postings_store.size());
 }
 
-Result<std::vector<InvertedIndex::TermSnapshot>> InvertedIndex::ExportTerms()
-    const {
-  if (!finalized_) {
-    return Status::FailedPrecondition("index is not finalized");
-  }
-  std::vector<TermSnapshot> out;
-  out.reserve(postings_.size());
-  for (const auto& [term, info] : postings_) {
-    TermSnapshot snapshot;
-    snapshot.term = term;
-    snapshot.idf = info.idf;
-    snapshot.postings.reserve(info.postings.size());
-    for (const Posting& p : info.postings) {
-      snapshot.postings.push_back(SearchHit{p.doc_id, p.weight});
-    }
-    out.push_back(std::move(snapshot));
-  }
-  return out;
-}
-
 Result<std::vector<InvertedIndex::TermRange>> InvertedIndex::TermRanges()
     const {
   if (!finalized_) {
@@ -356,66 +336,6 @@ Result<std::vector<SearchHit>> InvertedIndex::SearchTopNImpl(
   }
   std::vector<SearchHit> hits =
       internal::DaatMaxScoreTopN(&cursors, n, &local, accept);
-  if (stats) *stats = local;
-  return hits;
-}
-
-Result<std::vector<SearchHit>> InvertedIndex::SearchTopNTaat(
-    const std::string& query, size_t n, SearchStats* stats) const {
-  COBRA_ASSIGN_OR_RETURN(std::vector<std::string> terms, AnalyzeQuery(query));
-  if (n == 0) return std::vector<SearchHit>{};
-  SearchStats local;
-
-  std::vector<QueryTerm> query_terms = CollectQueryTerms(terms);
-  std::sort(query_terms.begin(), query_terms.end(),
-            [](const QueryTerm& a, const QueryTerm& b) {
-              return a.max_contribution > b.max_contribution;
-            });
-  // Suffix sums of max contributions, computed once: suffix[i] is the most
-  // the terms after i can add to any document (the old code recomputed
-  // this sum inside the loop, O(T^2) over the query terms).
-  std::vector<double> remaining(query_terms.size() + 1, 0.0);
-  for (size_t i = query_terms.size(); i-- > 0;) {
-    remaining[i] = remaining[i + 1] + query_terms[i].max_contribution;
-  }
-
-  std::unordered_map<int64_t, double> acc;
-  bool restricted = false;  // true once new docs can no longer reach top N
-  for (size_t i = 0; i < query_terms.size(); ++i) {
-    const QueryTerm& qt = query_terms[i];
-    ++local.terms_evaluated;
-    for (const Posting& p : qt.info->postings) {
-      if (restricted) {
-        auto it = acc.find(p.doc_id);
-        if (it == acc.end()) continue;  // semijoin against candidate set
-        it->second += qt.qtf * qt.info->idf * p.weight;
-      } else {
-        acc[p.doc_id] += qt.qtf * qt.info->idf * p.weight;
-      }
-      ++local.postings_scanned;
-    }
-    if (!restricted && acc.size() >= n) {
-      // N-th best current partial score.
-      std::vector<double> scores;
-      scores.reserve(acc.size());
-      for (const auto& [doc, score] : acc) scores.push_back(score);
-      std::nth_element(scores.begin(), scores.begin() + (n - 1), scores.end(),
-                       std::greater<double>());
-      double nth = scores[n - 1];
-      if (nth >= remaining[i + 1]) {
-        // Candidates keep accumulating (their final scores must be exact),
-        // but no new document can enter the top N anymore.
-        restricted = true;
-        local.early_terminated = true;
-      }
-    }
-  }
-
-  std::vector<SearchHit> hits;
-  hits.reserve(acc.size());
-  for (const auto& [doc_id, score] : acc) hits.push_back(SearchHit{doc_id, score});
-  SortHits(&hits);
-  if (hits.size() > n) hits.resize(n);
   if (stats) *stats = local;
   return hits;
 }

@@ -3,19 +3,15 @@
 /// \file inverted_index.h
 /// In-memory inverted index with tf-idf ranking and the top-N query
 /// optimization of ref [1] (Blok et al., "IR top-N optimization in a main
-/// memory DBMS"). Two optimized evaluators exist:
-///   * `SearchTopN` — document-at-a-time maxscore/block-max evaluation:
-///     a min-heap holds the current top N, terms are partitioned into
-///     essential/non-essential by suffix sums of their max contributions,
-///     and per-term skip blocks (last doc id + max weight per block of
-///     `kSkipBlockSize` postings) let the evaluator prove whole blocks
-///     uncompetitive without touching them. Exact: identical results to
-///     `SearchExhaustive`, ties included.
-///   * `SearchTopNTaat` — the original term-at-a-time evaluator with the
-///     candidate-set restriction, kept as the reference implementation the
-///     DAAT path is validated (and benchmarked) against.
-/// The exhaustive evaluator remains the baseline the paper compares
-/// against.
+/// memory DBMS"). `SearchTopN` is document-at-a-time maxscore/block-max
+/// evaluation: a min-heap holds the current top N, terms are partitioned
+/// into essential/non-essential by suffix sums of their max contributions,
+/// and per-term skip blocks (last doc id + max weight per block of
+/// `kSkipBlockSize` postings) let the evaluator prove whole blocks
+/// uncompetitive without touching them. Exact: identical results to
+/// `SearchExhaustive`, ties included. The exhaustive evaluator remains the
+/// baseline the paper compares against; the original term-at-a-time
+/// evaluator is a test-only reference (tests/oracles/taat.h).
 
 #include <cstdint>
 #include <map>
@@ -114,18 +110,6 @@ class InvertedIndex {
                                                   size_t n,
                                                   SearchStats* stats = nullptr) const;
 
-  /// Snapshot of one term's postings for export (doc ids ascending;
-  /// SearchHit.score carries the normalized tf weight, idf excluded).
-  struct TermSnapshot {
-    std::string term;
-    double idf = 0.0;
-    std::vector<SearchHit> postings;
-  };
-
-  /// Exports every term (requires a finalized index). Used by the
-  /// compressed index builder and by diagnostics.
-  Result<std::vector<TermSnapshot>> ExportTerms() const;
-
   /// Zero-copy view of one finalized term: idf, the per-list maximum
   /// weight, and spans over the postings and skip-block arrays. The spans
   /// point at this index's storage (or at the mapped segment bytes it was
@@ -139,7 +123,8 @@ class InvertedIndex {
   };
 
   /// Every term's view, in term order (requires a finalized index). The
-  /// segment writer serializes these spans verbatim.
+  /// segment writer serializes these spans verbatim, and the compressed
+  /// index encodes them.
   Result<std::vector<TermRange>> TermRanges() const;
 
   /// Document norms (doc id -> 1/sqrt(len)), persisted so a restored index
@@ -184,15 +169,6 @@ class InvertedIndex {
       const std::string& query, size_t n,
       const std::vector<int64_t>& accept_docs,
       SearchStats* stats = nullptr) const;
-
-  /// Reference implementation: term-at-a-time evaluation in decreasing
-  /// max-contribution order; stops admitting new candidates when the
-  /// remaining terms (precomputed suffix sums) cannot lift any unseen
-  /// document into the top N. Superseded by SearchTopN but kept as the
-  /// baseline optimized path for E6.
-  Result<std::vector<SearchHit>> SearchTopNTaat(const std::string& query,
-                                                size_t n,
-                                                SearchStats* stats = nullptr) const;
 
  private:
   /// Per-term state. Before Finalize() the postings accumulate in

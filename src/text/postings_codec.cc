@@ -86,20 +86,6 @@ CompressedPostings CompressedPostings::FromRaw(std::vector<uint8_t> bytes,
   return out;
 }
 
-CompressedPostings CompressedPostings::FromRawView(const uint8_t* data,
-                                                   size_t size,
-                                                   std::vector<SkipBlock> blocks,
-                                                   size_t count,
-                                                   double max_weight) {
-  CompressedPostings out;
-  out.view_data_ = data;
-  out.view_size_ = size;
-  out.blocks_ = std::move(blocks);
-  out.count_ = count;
-  out.max_weight_ = max_weight;
-  return out;
-}
-
 std::vector<DecodedPosting> CompressedPostings::Decode() const {
   std::vector<DecodedPosting> out;
   out.reserve(count_);

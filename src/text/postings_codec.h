@@ -57,24 +57,10 @@ class CompressedPostings {
                                     std::vector<SkipBlock> blocks,
                                     size_t count, double max_weight);
 
-  /// Zero-copy variant of FromRaw: views `size` bytes at `data` without
-  /// owning them, so a segment reader can point cursors straight into a
-  /// memory-mapped file. The viewed bytes must outlive the list and every
-  /// copy of it (copies share the view). Skip blocks are tiny (one entry
-  /// per kBlockSize postings) and are owned as usual.
-  static CompressedPostings FromRawView(const uint8_t* data, size_t size,
-                                        std::vector<SkipBlock> blocks,
-                                        size_t count, double max_weight);
+  /// The raw varbyte stream (FromRaw's input, paired with blocks()).
+  const uint8_t* data() const { return bytes_.data(); }
 
-  /// The raw varbyte stream, valid for owned and viewed lists alike
-  /// (serialization surface, paired with blocks()).
-  const uint8_t* data() const {
-    return view_data_ != nullptr ? view_data_ : bytes_.data();
-  }
-
-  size_t SizeBytes() const {
-    return view_data_ != nullptr ? view_size_ : bytes_.size();
-  }
+  size_t SizeBytes() const { return bytes_.size(); }
   size_t count() const { return count_; }
   size_t num_blocks() const { return blocks_.size(); }
   const std::vector<SkipBlock>& blocks() const { return blocks_; }
@@ -143,10 +129,6 @@ class CompressedPostings {
 
  private:
   std::vector<uint8_t> bytes_;
-  /// Non-null for a FromRawView list: bytes_ stays empty and the stream
-  /// lives in external (mapped) memory instead.
-  const uint8_t* view_data_ = nullptr;
-  size_t view_size_ = 0;
   std::vector<SkipBlock> blocks_;
   size_t count_ = 0;
   double max_weight_ = 0.0;

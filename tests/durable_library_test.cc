@@ -230,7 +230,6 @@ TEST(DurableLibraryTest, ReopenAnswersSweepIdentically) {
   {
     auto durable = DurableLibrary::Open(dir).TakeValue();
     ExpectSameAnswers(*clean, durable->library(), "mmap reopen");
-    EXPECT_TRUE(durable->LoadCompressedText().ok());
   }
   // Heap restore: same answers, no borrowed spans.
   {

@@ -9,10 +9,14 @@
 ///   * corruption hardening: mutated headers, section payloads, checksums
 ///     and truncations must fail cleanly with Status, never crash (run
 ///     under asan/ubsan in CI);
+///   * segments that still carry the retired compressed-text section
+///     (id 7) open, restore and answer the planner sweep unchanged, and
+///     compaction drops the section;
 ///   * WAL framing roundtrip and torn-tail truncation semantics.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -23,13 +27,15 @@
 
 #include "core/meta_index.h"
 #include "core/video_description.h"
+#include "engine/digital_library.h"
+#include "engine/durable_library.h"
 #include "storage/segment/format.h"
 #include "storage/segment/io.h"
 #include "storage/segment/segment.h"
 #include "storage/segment/wal.h"
 #include "storage/table.h"
-#include "text/compressed_index.h"
 #include "text/inverted_index.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "vision/signature.h"
 #include "webspace/site_synthesizer.h"
@@ -39,6 +45,7 @@ namespace cobra::storage::segment {
 namespace {
 
 using storage::ColumnDef;
+using storage::CompareOp;
 using storage::DataType;
 using storage::Table;
 using storage::Value;
@@ -46,6 +53,10 @@ using storage::Value;
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
 }
+
+/// Section id 7: the delta+varbyte copy of the interview postings that
+/// older segments carry (format.h keeps the id reserved).
+constexpr SectionId kRetiredCompressedText = static_cast<SectionId>(7);
 
 // ---------------------------------------------------------------------------
 // TableSerde deltas.
@@ -211,8 +222,7 @@ Fixture MakeFixture() {
   return out;
 }
 
-LibraryDelta FullDelta(const Fixture& fixture,
-                       const text::CompressedInvertedIndex* compressed) {
+LibraryDelta FullDelta(const Fixture& fixture) {
   LibraryDelta delta;
   delta.index_epoch = 5;
   delta.store = &fixture.store;
@@ -222,7 +232,6 @@ LibraryDelta FullDelta(const Fixture& fixture,
   delta.meta = &fixture.meta;
   delta.new_video_oids = fixture.video_oids;
   delta.text = &fixture.text;
-  delta.compressed_text = compressed;
   if (!fixture.signatures.empty()) {
     delta.signature_chunks = {
         {fixture.signatures.data(), fixture.signatures.size()}};
@@ -251,16 +260,16 @@ void ExpectSameSearch(const text::InvertedIndex& a,
 
 TEST(SegmentTest, SingleSegmentRoundtrip) {
   Fixture fixture = MakeFixture();
-  auto compressed =
-      text::CompressedInvertedIndex::FromIndex(fixture.text).TakeValue();
   const std::string path = TempPath("seg_roundtrip.cseg");
-  ASSERT_TRUE(WriteSegment(FullDelta(fixture, &compressed), path).ok());
+  ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
 
   auto reader = SegmentReader::Open(path).TakeValue();
   EXPECT_EQ(reader->index_epoch(), 5);
   EXPECT_TRUE(reader->text_finalized());
   EXPECT_EQ(reader->new_video_oids(), fixture.video_oids);
-  ASSERT_TRUE(reader->has_section(SectionId::kTextCompressed));
+  // The interview index is persisted once, as the raw kTextIndex section.
+  ASSERT_TRUE(reader->has_section(SectionId::kTextIndex));
+  EXPECT_FALSE(reader->has_section(kRetiredCompressedText));
 
   // The signature section maps back zero-copy and bit-identical.
   ASSERT_TRUE(reader->has_section(SectionId::kSignatures));
@@ -377,10 +386,8 @@ TEST(SegmentTest, DeltaChainWithPendingInterviews) {
 
 TEST(SegmentTest, MmapAndHeapTextAreBitIdentical) {
   Fixture fixture = MakeFixture();
-  auto compressed =
-      text::CompressedInvertedIndex::FromIndex(fixture.text).TakeValue();
   const std::string path = TempPath("seg_bitident.cseg");
-  ASSERT_TRUE(WriteSegment(FullDelta(fixture, &compressed), path).ok());
+  ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
   auto reader = SegmentReader::Open(path).TakeValue();
 
   auto mapped = reader->LoadTextIndex(/*copy=*/false).TakeValue();
@@ -391,34 +398,6 @@ TEST(SegmentTest, MmapAndHeapTextAreBitIdentical) {
   // Copies of a view-backed index keep working (span re-pointing rules).
   text::InvertedIndex mapped_copy = mapped;
   ExpectSameSearch(fixture.text, mapped_copy);
-
-  // The compressed snapshot decodes identically in both modes.
-  auto compressed_mapped =
-      reader->LoadCompressedText(/*copy=*/false).TakeValue();
-  auto compressed_heap = reader->LoadCompressedText(/*copy=*/true).TakeValue();
-  EXPECT_EQ(compressed_mapped.num_terms(), compressed.num_terms());
-  compressed_mapped.ForEachTerm([&](const std::string& term, double idf,
-                                    const text::CompressedPostings& postings) {
-    (void)idf;
-    const text::CompressedPostings* other = nullptr;
-    compressed_heap.ForEachTerm([&](const std::string& heap_term, double,
-                                    const text::CompressedPostings& heap_p) {
-      if (heap_term == term) other = &heap_p;
-    });
-    ASSERT_NE(other, nullptr) << term;
-    ASSERT_EQ(postings.count(), other->count()) << term;
-    text::CompressedPostings::Cursor a(postings), b(*other);
-    text::DecodedPosting pa, pb;
-    while (true) {
-      const bool more_a = a.Next(&pa);
-      const bool more_b = b.Next(&pb);
-      ASSERT_EQ(more_a, more_b) << term;
-      if (!more_a) break;
-      EXPECT_EQ(pa.doc_id, pb.doc_id) << term;
-      EXPECT_EQ(pa.weight, pb.weight) << term;
-    }
-    EXPECT_TRUE(a.ok() && b.ok()) << term;
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -444,17 +423,14 @@ void ExpectCleanOpen(const std::string& path) {
     (void)(*reader)->ApplyMeta(&shots, &objects, &events);
   }
   (void)(*reader)->LoadTextIndex(true);
-  (void)(*reader)->LoadCompressedText(true);
   (void)(*reader)->PendingInterviews();
   (void)(*reader)->SignatureChunk();
 }
 
 TEST(SegmentCorruptionTest, MutatedBytesFailCleanly) {
   Fixture fixture = MakeFixture();
-  auto compressed =
-      text::CompressedInvertedIndex::FromIndex(fixture.text).TakeValue();
   const std::string path = TempPath("seg_fuzz.cseg");
-  ASSERT_TRUE(WriteSegment(FullDelta(fixture, &compressed), path).ok());
+  ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
   const std::vector<uint8_t> pristine = ReadAll(path);
   const std::string mutated_path = TempPath("seg_fuzz_mut.cseg");
 
@@ -475,7 +451,7 @@ TEST(SegmentCorruptionTest, MutatedBytesFailCleanly) {
 TEST(SegmentCorruptionTest, TargetedHeaderAndSectionCorruptionFails) {
   Fixture fixture = MakeFixture();
   const std::string path = TempPath("seg_target.cseg");
-  ASSERT_TRUE(WriteSegment(FullDelta(fixture, nullptr), path).ok());
+  ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
   const std::vector<uint8_t> pristine = ReadAll(path);
   const std::string mutated_path = TempPath("seg_target_mut.cseg");
 
@@ -526,7 +502,7 @@ TEST(SegmentCorruptionTest, SignatureRecordValidationRejectsBadFields) {
         rec.end = 10;
         break;
     }
-    ASSERT_TRUE(WriteSegment(FullDelta(fixture, nullptr), path).ok());
+    ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
     auto reader = SegmentReader::Open(path).TakeValue();
     EXPECT_FALSE(reader->SignatureChunk().ok()) << "variant " << which;
     EXPECT_FALSE(RestoreFromSegments({reader.get()}, false).ok())
@@ -534,38 +510,248 @@ TEST(SegmentCorruptionTest, SignatureRecordValidationRejectsBadFields) {
   }
 }
 
-TEST(SegmentCorruptionTest, VarintRegionCorruptionInCompressedText) {
-  // Mutations inside the varbyte blob flip the section CRC, so a full-
-  // verify open fails; a kNone open must still decode cleanly or error.
-  Fixture fixture = MakeFixture();
-  auto compressed =
-      text::CompressedInvertedIndex::FromIndex(fixture.text).TakeValue();
-  const std::string path = TempPath("seg_varint.cseg");
-  ASSERT_TRUE(WriteSegment(FullDelta(fixture, &compressed), path).ok());
-  const std::vector<uint8_t> pristine = ReadAll(path);
-  const std::string mutated_path = TempPath("seg_varint_mut.cseg");
+// ---------------------------------------------------------------------------
+// Segments that still carry the retired compressed-text section (id 7).
 
-  Rng rng(99);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<uint8_t> mutated = pristine;
-    // The compressed-text section lives in the back half of the file.
-    const size_t pos =
-        mutated.size() / 2 + rng.NextBounded(mutated.size() / 2);
-    mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-    ASSERT_TRUE(
-        WriteFileAtomic(mutated_path, mutated.data(), mutated.size()).ok());
-    auto reader = SegmentReader::Open(mutated_path, SegmentReader::Verify::kNone);
-    if (!reader.ok()) continue;
-    auto loaded = (*reader)->LoadCompressedText(true);
-    if (!loaded.ok()) continue;
-    loaded->ForEachTerm([](const std::string&, double,
-                           const text::CompressedPostings& postings) {
-      text::CompressedPostings::Cursor cursor(postings);
-      text::DecodedPosting posting;
-      while (cursor.Next(&posting)) {
-      }
-    });
+/// Rewrites the segment at `path` the way a writer that still emitted `id`
+/// laid it out: `payload` becomes a CRC-valid section right after
+/// kTextIndex, and the section table, every offset, the file size and both
+/// header CRCs are recomputed.
+void SpliceSection(const std::string& path, SectionId id,
+                   const std::vector<uint8_t>& payload) {
+  const std::vector<uint8_t> bytes = ReadAll(path);
+  FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<SectionEntry> entries(header.section_count);
+  std::memcpy(entries.data(), bytes.data() + header.section_table_offset,
+              entries.size() * sizeof(SectionEntry));
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const SectionEntry& e : entries) {
+    payloads.emplace_back(bytes.begin() + e.offset,
+                          bytes.begin() + e.offset + e.size);
   }
+  auto text = std::find_if(entries.begin(), entries.end(), [](const auto& e) {
+    return e.id == static_cast<uint32_t>(SectionId::kTextIndex);
+  });
+  ASSERT_NE(text, entries.end()) << path;
+  const size_t at = static_cast<size_t>(text - entries.begin()) + 1;
+  SectionEntry added;
+  added.id = static_cast<uint32_t>(id);
+  added.size = payload.size();
+  added.crc32 = util::Crc32(payload.data(), payload.size());
+  entries.insert(entries.begin() + at, added);
+  payloads.insert(payloads.begin() + at, payload);
+
+  auto align = [](uint64_t v) {
+    return (v + kPageSize - 1) / kPageSize * kPageSize;
+  };
+  uint64_t offset =
+      align(sizeof(FileHeader) + entries.size() * sizeof(SectionEntry));
+  for (SectionEntry& e : entries) {
+    e.offset = offset;
+    offset = align(offset + e.size);
+  }
+  header.section_count = static_cast<uint32_t>(entries.size());
+  header.file_size = offset;
+  header.section_table_crc =
+      util::Crc32(entries.data(), entries.size() * sizeof(SectionEntry));
+  header.header_crc = 0;
+  header.header_crc = util::Crc32(&header, sizeof(header));
+
+  std::vector<uint8_t> file(offset, 0);
+  std::memcpy(file.data(), &header, sizeof(header));
+  std::memcpy(file.data() + header.section_table_offset, entries.data(),
+              entries.size() * sizeof(SectionEntry));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    std::copy(payloads[i].begin(), payloads[i].end(),
+              file.begin() + static_cast<ptrdiff_t>(entries[i].offset));
+  }
+  ASSERT_TRUE(WriteFileAtomic(path, file.data(), file.size()).ok());
+}
+
+/// Stand-in bytes for a retired compressed-text payload: readers never
+/// decode the section, so only its size and CRC matter. Spans two pages.
+std::vector<uint8_t> RetiredPayload() {
+  std::vector<uint8_t> payload(6000);
+  Rng rng(7);
+  for (uint8_t& byte : payload) {
+    byte = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  return payload;
+}
+
+TEST(LegacySegmentTest, RetiredCompressedTextSectionIsIgnored) {
+  Fixture fixture = MakeFixture();
+  const std::string path = TempPath("seg_legacy.cseg");
+  ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      SpliceSection(path, kRetiredCompressedText, RetiredPayload()));
+
+  for (SegmentReader::Verify verify :
+       {SegmentReader::Verify::kFull, SegmentReader::Verify::kNone}) {
+    auto reader = SegmentReader::Open(path, verify);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_TRUE((*reader)->has_section(kRetiredCompressedText));
+    auto parts = RestoreFromSegments({reader->get()}, false);
+    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+    ASSERT_TRUE(parts->text.has_value());
+    EXPECT_EQ(parts->indexed_videos, fixture.video_oids);
+    ASSERT_EQ(parts->signature_chunks.size(), 1u);
+    ExpectSameSearch(fixture.text, *parts->text);
+  }
+
+  // The section is CRC-checked like any other: a flipped byte in it fails
+  // a full-verify open, while a kNone open never reads it.
+  std::vector<uint8_t> bytes = ReadAll(path);
+  FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry e;
+    std::memcpy(&e, bytes.data() + header.section_table_offset +
+                        i * sizeof(SectionEntry),
+                sizeof(e));
+    if (e.id == static_cast<uint32_t>(kRetiredCompressedText)) {
+      bytes[e.offset + e.size / 2] ^= 0x5A;
+    }
+  }
+  const std::string mutated = TempPath("seg_legacy_mut.cseg");
+  ASSERT_TRUE(WriteFileAtomic(mutated, bytes.data(), bytes.size()).ok());
+  EXPECT_FALSE(SegmentReader::Open(mutated).ok());
+  auto reader = SegmentReader::Open(mutated, SegmentReader::Verify::kNone);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(RestoreFromSegments({reader->get()}, false).ok());
+}
+
+/// The 16-modality planner sweep: every subset of {player predicate,
+/// champion, text, event}.
+std::vector<engine::CombinedQuery> SweepQueries() {
+  std::vector<engine::CombinedQuery> queries;
+  for (int combo = 0; combo < 16; ++combo) {
+    engine::CombinedQuery query;
+    if (combo & 1) {
+      query.player_predicates.push_back(
+          {"hand", CompareOp::kEq, std::string("left")});
+    }
+    query.require_champion = (combo & 2) != 0;
+    if (combo & 4) {
+      query.text = "champion title";
+      query.text_top_k = 6;
+    }
+    if (combo & 8) query.event = "net_play";
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
+/// The sweep's answers, one line per query: the error status, or every
+/// hit with the bit pattern of its score.
+std::vector<std::string> SweepAnswers(const engine::DigitalLibrary& library) {
+  std::vector<std::string> out;
+  for (const engine::CombinedQuery& query : SweepQueries()) {
+    auto hits = library.Search(query);
+    if (!hits.ok()) {
+      out.push_back(hits.status().ToString());
+      continue;
+    }
+    std::string line;
+    for (const engine::SceneHit& hit : *hits) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &hit.text_score, sizeof(bits));
+      line += std::to_string(hit.player_oid) + " " + hit.player_name + " " +
+              std::to_string(hit.video_oid) + " " +
+              std::to_string(hit.range.begin) + "-" +
+              std::to_string(hit.range.end) + " " + hit.event + " " +
+              std::to_string(bits) + ";";
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
+/// The .cseg files in `dir`.
+std::vector<std::string> SegmentFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const std::string& entry : ListDir(dir).TakeValue()) {
+    if (entry.size() > 5 && entry.substr(entry.size() - 5) == ".cseg") {
+      out.push_back(dir + "/" + entry);
+    }
+  }
+  return out;
+}
+
+TEST(LegacySegmentTest, DurableLibraryRestoresAndCompactsItAway) {
+  const std::string dir = TempPath("legacy_durable");
+  if (auto entries = ListDir(dir); entries.ok()) {
+    for (const std::string& entry : *entries) {
+      (void)RemoveFile(dir + "/" + entry);
+    }
+  }
+  webspace::SiteConfig config;
+  config.num_players = 12;
+  config.num_past_years = 3;
+  config.videos_per_year = 1;
+  config.seed = 7;
+  config.ensure_answer = true;
+  auto site = webspace::SiteSynthesizer::Generate(config).TakeValue();
+  std::vector<std::string> expected;
+  {
+    auto durable =
+        engine::DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
+    for (const auto& [oid, body] : site.interview_texts) {
+      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+    }
+    ASSERT_TRUE(durable->FinalizeText().ok());
+    for (int64_t oid : site.video_oids) {
+      ASSERT_TRUE(durable
+                      ->AddVideoDescription(
+                          MakeVideo(oid, static_cast<uint64_t>(oid)))
+                      .ok());
+    }
+    ASSERT_TRUE(durable->Flush().ok());
+    ASSERT_EQ(durable->num_segments(), 2u);
+    expected = SweepAnswers(durable->library());
+  }
+  size_t answered = 0;
+  for (const std::string& line : expected) {
+    answered += line.find(';') != std::string::npos ? 1 : 0;  // has a hit
+  }
+  ASSERT_GT(answered, 8u) << "the sweep must exercise non-empty answers";
+
+  // Splice id 7 into the segment that carries the text snapshot, as the
+  // flush that wrote it before the change would have.
+  size_t spliced = 0;
+  for (const std::string& path : SegmentFiles(dir)) {
+    if (SegmentReader::Open(path).TakeValue()->text_finalized()) {
+      ASSERT_NO_FATAL_FAILURE(
+          SpliceSection(path, kRetiredCompressedText, RetiredPayload()));
+      ++spliced;
+    }
+  }
+  ASSERT_EQ(spliced, 1u);
+
+  for (SegmentReader::Verify verify :
+       {SegmentReader::Verify::kFull, SegmentReader::Verify::kNone}) {
+    engine::DurableLibrary::Options options;
+    options.verify = verify;
+    auto durable = engine::DurableLibrary::Open(dir, options);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    EXPECT_EQ(SweepAnswers((*durable)->library()), expected);
+  }
+
+  // Compaction rewrites the chain as one segment without the section.
+  {
+    auto durable = engine::DurableLibrary::Open(dir).TakeValue();
+    ASSERT_TRUE(durable->Compact().ok());
+    EXPECT_EQ(durable->num_segments(), 1u);
+    EXPECT_EQ(SweepAnswers(durable->library()), expected);
+  }
+  const std::vector<std::string> compacted = SegmentFiles(dir);
+  ASSERT_EQ(compacted.size(), 1u);
+  auto reader = SegmentReader::Open(compacted[0]).TakeValue();
+  EXPECT_TRUE(reader->has_section(SectionId::kTextIndex));
+  EXPECT_FALSE(reader->has_section(kRetiredCompressedText));
+  auto reopened = engine::DurableLibrary::Open(dir).TakeValue();
+  EXPECT_EQ(SweepAnswers(reopened->library()), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -574,11 +760,11 @@ TEST(SegmentCorruptionTest, VarintRegionCorruptionInCompressedText) {
 TEST(WalTest, RoundtripAndTornTail) {
   const std::string path = TempPath("wal_roundtrip.wal");
   {
-    auto wal = WalWriter::Open(path, /*sync_each=*/false).TakeValue();
-    ASSERT_TRUE(wal.AppendInterview(7, "net play champion").ok());
-    ASSERT_TRUE(wal.AppendVideo(MakeVideo(42, 1)).ok());
-    ASSERT_TRUE(wal.AppendFinalizeText().ok());
-    ASSERT_TRUE(wal.Sync().ok());
+    auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
+    ASSERT_TRUE(wal->AppendInterview(7, "net play champion").ok());
+    ASSERT_TRUE(wal->AppendVideo(MakeVideo(42, 1)).ok());
+    ASSERT_TRUE(wal->AppendFinalizeText().ok());
+    ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto records = ReplayWal(path).TakeValue();
   ASSERT_EQ(records.size(), 3u);
@@ -619,10 +805,10 @@ TEST(WalTest, SignatureRecordsRoundtrip) {
   const std::string path = TempPath("wal_signatures.wal");
   const std::vector<vision::SignatureRecord> records = MakeSignatures({42, 43});
   {
-    auto wal = WalWriter::Open(path, /*sync_each=*/false).TakeValue();
-    ASSERT_TRUE(wal.AppendSignatures(42, records).ok());
-    ASSERT_TRUE(wal.AppendSignatures(7, {}).ok());
-    ASSERT_TRUE(wal.Sync().ok());
+    auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
+    ASSERT_TRUE(wal->AppendSignatures(42, records).ok());
+    ASSERT_TRUE(wal->AppendSignatures(7, {}).ok());
+    ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto replayed = ReplayWal(path).TakeValue();
   ASSERT_EQ(replayed.size(), 2u);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "oracles/taat.h"
 #include "text/compressed_index.h"
 #include "text/corpus.h"
 #include "text/inverted_index.h"
@@ -80,7 +81,7 @@ TEST_P(BlockMaxSweepTest, DaatEqualsTaatReference) {
   for (uint64_t salt = 0; salt < 6; ++salt) {
     std::string query = corpus.MakeQuery(3, salt);
     for (size_t n : {1u, 10u, 50u}) {
-      auto taat = index.SearchTopNTaat(query, n).TakeValue();
+      auto taat = SearchTopNTaat(index, query, n).TakeValue();
       auto daat = index.SearchTopN(query, n).TakeValue();
       ASSERT_EQ(daat.size(), taat.size()) << query << " n=" << n;
       for (size_t i = 0; i < daat.size(); ++i) {

@@ -235,12 +235,12 @@ InvertedIndex BuildCorpusIndex(size_t docs, uint64_t seed) {
   return index;
 }
 
-TEST(ExportTermsTest, RequiresFinalized) {
+TEST(TermRangesTest, RequiresFinalized) {
   InvertedIndex index;
   ASSERT_TRUE(index.AddText(0, "alpha beta").ok());
-  EXPECT_FALSE(index.ExportTerms().ok());
+  EXPECT_FALSE(index.TermRanges().ok());
   ASSERT_TRUE(index.Finalize().ok());
-  auto terms = index.ExportTerms().TakeValue();
+  auto terms = index.TermRanges().TakeValue();
   EXPECT_EQ(terms.size(), 2u);
   EXPECT_EQ(terms[0].postings.size(), 1u);
 }

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "oracles/taat.h"
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 #include "text/tokenizer.h"
@@ -156,7 +157,7 @@ TEST(InvertedIndexTest, TopNScansFewerPostings) {
 TEST(InvertedIndexTest, TopNZeroReturnsEmpty) {
   InvertedIndex index = SmallIndex();
   EXPECT_TRUE(index.SearchTopN("tennis", 0).TakeValue().empty());
-  EXPECT_TRUE(index.SearchTopNTaat("tennis", 0).TakeValue().empty());
+  EXPECT_TRUE(SearchTopNTaat(index, "tennis", 0).TakeValue().empty());
 }
 
 TEST(InvertedIndexTest, TaatReferenceMatchesExhaustive) {
@@ -175,7 +176,7 @@ TEST(InvertedIndexTest, TaatReferenceMatchesExhaustive) {
     std::string query = corpus.MakeQuery(4, salt);
     for (size_t n : {1u, 10u, 50u}) {
       auto exhaustive = index.SearchExhaustive(query, n).TakeValue();
-      auto taat = index.SearchTopNTaat(query, n).TakeValue();
+      auto taat = SearchTopNTaat(index, query, n).TakeValue();
       ASSERT_EQ(taat.size(), exhaustive.size()) << query << " n=" << n;
       for (size_t i = 0; i < taat.size(); ++i) {
         EXPECT_EQ(taat[i].doc_id, exhaustive[i].doc_id)
@@ -204,7 +205,7 @@ TEST(InvertedIndexTest, DaatSkipsBlocksAndScansFewerThanTaat) {
                       corpus.MakeQuery(3, 9);
   SearchStats daat, taat;
   auto a = index.SearchTopN(query, 10, &daat);
-  auto b = index.SearchTopNTaat(query, 10, &taat);
+  auto b = SearchTopNTaat(index, query, 10, &taat);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GT(daat.blocks_skipped, 0) << "block-max pruning never fired";
