@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/ingest_delta.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
 #include "storage/segment/io.h"
@@ -33,6 +34,7 @@ namespace {
 
 using namespace cobra;  // NOLINT
 namespace seg = storage::segment;
+using core::IngestDelta;
 
 constexpr const char* kBench = "e12_durability";
 
@@ -136,9 +138,9 @@ void RunColdStart(const int64_t num_docs,
         body += token;
         body += ' ';
       }
-      (void)durable->AddInterview(100000 + d, body);
+      (void)durable->Apply(IngestDelta::Interview(100000 + d, body));
     }
-    (void)durable->FinalizeText();
+    (void)durable->Apply(IngestDelta::FinalizeText());
     bench::WallTimer flush_timer;
     (void)durable->Flush();
     bench::PrintJsonMetric(kBench, "flush_snapshot_ms", flush_timer.Millis());
@@ -256,7 +258,7 @@ void RunIngest(const std::vector<std::string>& vocabulary) {
                        .TakeValue();
     bench::WallTimer timer;
     for (int64_t d = 0; d < num_docs; ++d) {
-      (void)durable->AddInterview(100000 + d, bodies[d]);
+      (void)durable->Apply(IngestDelta::Interview(100000 + d, bodies[d]));
     }
     return static_cast<double>(num_docs) / (timer.Millis() / 1e3);
   };
@@ -340,10 +342,10 @@ void RunCompaction(const std::vector<std::string>& vocabulary,
       body += token;
       body += ' ';
     }
-    (void)durable->AddInterview(100000 + d, body);
+    (void)durable->Apply(IngestDelta::Interview(100000 + d, body));
     if ((d + 1) % 4000 == 0) (void)durable->Flush();  // many delta segments
   }
-  (void)durable->FinalizeText();
+  (void)durable->Apply(IngestDelta::FinalizeText());
   (void)durable->Flush();
   const size_t segments_before = durable->num_segments();
 

@@ -74,7 +74,7 @@ CorpusParts MakeCorpus() {
   config.seed = 2002;
   config.ensure_answer = true;
   auto site = webspace::SiteSynthesizer::Generate(config).TakeValue();
-  CorpusParts parts{std::move(site.store), {}, {}};
+  CorpusParts parts{std::move(site.store), {}, {}, {}};
   for (const auto& [oid, body] : site.interview_texts) {
     parts.interviews.emplace_back(oid, body);
   }

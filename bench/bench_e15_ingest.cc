@@ -224,7 +224,8 @@ Status SubmitOps(CorpusIngestPipeline* pipeline,
       case IngestDelta::Kind::kFinalizeText:
         status = pipeline->SubmitFinalizeText();
         break;
-      case IngestDelta::Kind::kVideo: {
+      case IngestDelta::Kind::kVideo:
+      case IngestDelta::Kind::kSignatures: {
         auto delta = std::make_shared<IngestDelta>(op);
         status = pipeline->SubmitVideo(
             [delta]() -> Result<IngestDelta> { return *delta; });
@@ -263,20 +264,7 @@ IngestRun RunSerial(const std::vector<IngestDelta>& ops, seg::WalMode mode) {
                      dir, std::move(MakeSite().store), options)
                      .TakeValue();
   bench::WallTimer timer;
-  for (const IngestDelta& op : ops) {
-    switch (op.kind) {
-      case IngestDelta::Kind::kInterview:
-        (void)durable->AddInterview(op.interview_oid, op.interview_text);
-        break;
-      case IngestDelta::Kind::kFinalizeText:
-        (void)durable->FinalizeText();
-        break;
-      case IngestDelta::Kind::kVideo:
-        (void)durable->AddVideoDescription(op.video);
-        (void)durable->AddVideoSignatures(op.video.video_id(), op.signatures);
-        break;
-    }
-  }
+  for (const IngestDelta& op : ops) (void)durable->Apply(op);
   IngestRun run;
   run.ops_per_s = static_cast<double>(ops.size()) / (timer.Millis() / 1e3);
   run.sync_calls = durable->wal_sync_calls();

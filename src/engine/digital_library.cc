@@ -102,7 +102,9 @@ Status DigitalLibrary::AddVideoDescription(const core::VideoDescription& desc) {
   return Status::OK();
 }
 
-Status DigitalLibrary::AddVideoSignatures(
+namespace {
+
+Status CheckSignatureVideo(
     int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
   for (const vision::SignatureRecord& rec : records) {
     if (rec.video_id != video_id) {
@@ -112,9 +114,36 @@ Status DigitalLibrary::AddVideoSignatures(
           static_cast<long long>(video_id)));
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DigitalLibrary::AddVideoSignatures(
+    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
+  COBRA_RETURN_NOT_OK(CheckSignatureVideo(video_id, records));
   signatures_.AddRecords(records.data(), records.size());
   ++index_epoch_;
   return Status::OK();
+}
+
+Status DigitalLibrary::Apply(const core::IngestDelta& delta) {
+  using Kind = core::IngestDelta::Kind;
+  switch (delta.kind) {
+    case Kind::kInterview:
+      return AddInterview(delta.interview_oid, delta.interview_text);
+    case Kind::kFinalizeText:
+      return FinalizeText();
+    case Kind::kVideo:
+      COBRA_RETURN_NOT_OK(
+          CheckSignatureVideo(delta.video.video_id(), delta.signatures));
+      COBRA_RETURN_NOT_OK(AddVideoDescription(delta.video));
+      if (delta.signatures.empty()) return Status::OK();
+      return AddVideoSignatures(delta.video.video_id(), delta.signatures);
+    case Kind::kSignatures:
+      return AddVideoSignatures(delta.signature_video, delta.signatures);
+  }
+  return Status::Internal("unreachable ingest delta kind");
 }
 
 Status DigitalLibrary::SetSignatureConfig(

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ingest_delta.h"
 #include "core/meta_index.h"
 #include "core/video_description.h"
 #include "engine/planner/plan.h"
@@ -188,6 +189,12 @@ class DigitalLibrary {
   /// modality; DESIGN.md §4j). Every record must carry that video id.
   Status AddVideoSignatures(int64_t video_id,
                             const std::vector<vision::SignatureRecord>& records);
+
+  /// Applies one mutation record: the one place a delta's kind maps onto
+  /// the four mutators above. A kVideo delta first checks that every
+  /// signature record carries the video's id (the only way its signature
+  /// batch can fail), so it applies whole or not at all.
+  Status Apply(const core::IngestDelta& delta);
 
   /// The signature ANN index (similar_to evaluation + serialization
   /// surface).

@@ -138,6 +138,13 @@ Status DurableLibrary::FlushLocked() {
   }
 
   // Advance the watermarks: everything current is now persisted.
+  COBRA_RETURN_NOT_OK(SetWatermarksLocked());
+  if (include_text) text_persisted_ = true;
+  pending_.clear();
+  return Status::OK();
+}
+
+Status DurableLibrary::SetWatermarksLocked() {
   const webspace::WebspaceStore& store = library_->store();
   const webspace::ConceptSchema& schema = store.schema();
   class_flushed_rows_.clear();
@@ -158,8 +165,6 @@ Status DurableLibrary::FlushLocked() {
   events_flushed_rows_ = meta.events().num_rows();
   videos_flushed_ = library_->indexed_videos().size();
   signatures_flushed_rows_ = library_->signatures().num_records();
-  if (include_text) text_persisted_ = true;
-  pending_.clear();
   return Status::OK();
 }
 
@@ -242,48 +247,13 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
 
   // Watermarks = persisted state, before any WAL replay mutates the
   // library past what the segments hold.
-  {
-    const webspace::WebspaceStore& restored = out->library_->store();
-    for (const auto& cls : restored.schema().classes()) {
-      COBRA_ASSIGN_OR_RETURN(const storage::Table* table,
-                             restored.ClassTable(cls.name));
-      out->class_flushed_rows_.push_back(table->num_rows());
-    }
-    for (const auto& assoc : restored.schema().associations()) {
-      COBRA_ASSIGN_OR_RETURN(const storage::Table* table,
-                             restored.AssociationTable(assoc.name));
-      out->assoc_flushed_rows_.push_back(table->num_rows());
-    }
-    const core::MetaIndex& restored_meta = out->library_->meta_index();
-    out->shots_flushed_rows_ = restored_meta.shots().num_rows();
-    out->objects_flushed_rows_ = restored_meta.objects().num_rows();
-    out->events_flushed_rows_ = restored_meta.events().num_rows();
-    out->videos_flushed_ = out->library_->indexed_videos().size();
-    out->signatures_flushed_rows_ = out->library_->signatures().num_records();
-  }
+  COBRA_RETURN_NOT_OK(out->SetWatermarksLocked());
 
-  // Replay the WAL's intact prefix through the regular mutation paths.
-  COBRA_ASSIGN_OR_RETURN(std::vector<seg::WalRecord> records,
+  // Replay the WAL's intact prefix through the regular mutation path.
+  COBRA_ASSIGN_OR_RETURN(std::vector<core::IngestDelta> deltas,
                          seg::ReplayWal(JoinPath(dir, out->manifest_.wal)));
-  for (const seg::WalRecord& record : records) {
-    switch (record.type) {
-      case seg::WalRecordType::kAddInterview:
-        COBRA_RETURN_NOT_OK(out->library_->AddInterview(
-            record.interview_oid, record.interview_text));
-        out->pending_.emplace_back(record.interview_oid,
-                                   record.interview_text);
-        break;
-      case seg::WalRecordType::kFinalizeText:
-        COBRA_RETURN_NOT_OK(out->library_->FinalizeText());
-        break;
-      case seg::WalRecordType::kAddVideo:
-        COBRA_RETURN_NOT_OK(out->library_->AddVideoDescription(record.video));
-        break;
-      case seg::WalRecordType::kAddSignatures:
-        COBRA_RETURN_NOT_OK(out->library_->AddVideoSignatures(
-            record.signature_video, record.signatures));
-        break;
-    }
+  for (const core::IngestDelta& delta : deltas) {
+    COBRA_RETURN_NOT_OK(out->ApplyInMemory(delta));
   }
 
   // Drop files the manifest does not reference — orphans of a crashed
@@ -303,7 +273,7 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
   }
 
   std::lock_guard<std::mutex> lock(out->manifest_mutex_);
-  if (!records.empty()) {
+  if (!deltas.empty()) {
     // Fold the replayed window into a segment immediately so recovery
     // cost never compounds across restarts.
     COBRA_RETURN_NOT_OK(out->FlushLocked());
@@ -316,36 +286,19 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
   return out;
 }
 
-Result<DurableLibrary::StageTicket> DurableLibrary::StageInterview(
-    int64_t interview_oid, const std::string& text) {
-  std::lock_guard<std::mutex> lock(mutate_mutex_);
-  COBRA_RETURN_NOT_OK(library_->AddInterview(interview_oid, text));
-  pending_.emplace_back(interview_oid, text);
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq,
-                         wal_->StageInterview(interview_oid, text));
-  return StageTicket{wal_, seq};
+Status DurableLibrary::ApplyInMemory(const core::IngestDelta& delta) {
+  COBRA_RETURN_NOT_OK(library_->Apply(delta));
+  if (delta.kind == core::IngestDelta::Kind::kInterview) {
+    pending_.emplace_back(delta.interview_oid, delta.interview_text);
+  }
+  return Status::OK();
 }
 
-Result<DurableLibrary::StageTicket> DurableLibrary::StageFinalizeText() {
+Result<DurableLibrary::StageTicket> DurableLibrary::Stage(
+    const core::IngestDelta& delta) {
   std::lock_guard<std::mutex> lock(mutate_mutex_);
-  COBRA_RETURN_NOT_OK(library_->FinalizeText());
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal_->StageFinalizeText());
-  return StageTicket{wal_, seq};
-}
-
-Result<DurableLibrary::StageTicket> DurableLibrary::StageVideoDescription(
-    const core::VideoDescription& desc) {
-  std::lock_guard<std::mutex> lock(mutate_mutex_);
-  COBRA_RETURN_NOT_OK(library_->AddVideoDescription(desc));
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal_->StageVideo(desc));
-  return StageTicket{wal_, seq};
-}
-
-Result<DurableLibrary::StageTicket> DurableLibrary::StageVideoSignatures(
-    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
-  std::lock_guard<std::mutex> lock(mutate_mutex_);
-  COBRA_RETURN_NOT_OK(library_->AddVideoSignatures(video_id, records));
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal_->StageSignatures(video_id, records));
+  COBRA_RETURN_NOT_OK(ApplyInMemory(delta));
+  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal_->Stage(delta));
   return StageTicket{wal_, seq};
 }
 
@@ -354,27 +307,8 @@ Status DurableLibrary::WaitDurable(const StageTicket& ticket) {
   return ticket.wal->WaitDurable(ticket.seq);
 }
 
-Status DurableLibrary::AddInterview(int64_t interview_oid,
-                                    const std::string& text) {
-  COBRA_ASSIGN_OR_RETURN(StageTicket ticket,
-                         StageInterview(interview_oid, text));
-  return WaitDurable(ticket);
-}
-
-Status DurableLibrary::FinalizeText() {
-  COBRA_ASSIGN_OR_RETURN(StageTicket ticket, StageFinalizeText());
-  return WaitDurable(ticket);
-}
-
-Status DurableLibrary::AddVideoDescription(const core::VideoDescription& desc) {
-  COBRA_ASSIGN_OR_RETURN(StageTicket ticket, StageVideoDescription(desc));
-  return WaitDurable(ticket);
-}
-
-Status DurableLibrary::AddVideoSignatures(
-    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
-  COBRA_ASSIGN_OR_RETURN(StageTicket ticket,
-                         StageVideoSignatures(video_id, records));
+Status DurableLibrary::Apply(const core::IngestDelta& delta) {
+  COBRA_ASSIGN_OR_RETURN(StageTicket ticket, Stage(delta));
   return WaitDurable(ticket);
 }
 

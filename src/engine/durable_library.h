@@ -9,15 +9,15 @@
 ///   seg-NNNNNN.cseg immutable segments (storage/segment), applied in order
 ///   wal-NNNNNN.wal  write-ahead log of mutations since the last flush
 ///
-/// Mutations apply in memory and append to the WAL; Flush() folds the
-/// window into a new delta segment and starts a fresh WAL; Open() restores
-/// the segment chain (text postings mapped zero-copy), replays the WAL's
-/// intact prefix, and — when the WAL held anything — immediately flushes so
-/// recovery cost stays bounded by one window. Compact() merges the segment
-/// *files* into one full snapshot off-lock and publishes it atomically, so
-/// queries against the live library never block; superseded mappings are
-/// retired but kept alive because a zero-copy restored text index may
-/// still point into them.
+/// Mutations (core::IngestDelta) apply in memory and are framed into the
+/// WAL; Flush() folds the window into a new delta segment and starts a
+/// fresh WAL; Open() restores the segment chain (text postings mapped
+/// zero-copy), replays the WAL's intact prefix, and — when the WAL held
+/// anything — immediately flushes so recovery cost stays bounded by one
+/// window. Compact() merges the segment *files* into one full snapshot
+/// off-lock and publishes it atomically, so queries against the live
+/// library never block; superseded mappings are retired but kept alive
+/// because a zero-copy restored text index may still point into them.
 ///
 /// Concurrency: queries (through library()) may run concurrently with
 /// CompactAsync(). Mutations and Flush are internally thread-safe (any
@@ -80,17 +80,9 @@ class DurableLibrary {
       const std::string& dir, const Options& options);
   static Result<std::unique_ptr<DurableLibrary>> Open(const std::string& dir);
 
-  /// The live library. Queries only — route mutations through the
-  /// durable wrappers below so they hit the WAL.
+  /// The live library. Queries only — route mutations through Stage or
+  /// Apply so they hit the WAL.
   const DigitalLibrary& library() const { return *library_; }
-
-  /// Durable mutations (thread-safe; durable on return under the open
-  /// WAL mode). Each is Stage…() + WaitDurable().
-  Status AddInterview(int64_t interview_oid, const std::string& text);
-  Status FinalizeText();
-  Status AddVideoDescription(const core::VideoDescription& desc);
-  Status AddVideoSignatures(int64_t video_id,
-                            const std::vector<vision::SignatureRecord>& records);
 
   /// A staged (applied + WAL-framed, not yet durable) mutation. Tickets
   /// keep the WAL generation they were staged into alive, so waiting on a
@@ -101,19 +93,17 @@ class DurableLibrary {
     uint64_t seq = 0;
   };
 
-  /// Two-phase mutation surface for pipelined ingest (engine/ingest,
-  /// DESIGN.md §4k): Stage…() applies the mutation in memory and frames
-  /// it into the WAL (fast, serialized internally); WaitDurable() blocks
-  /// until the record is on stable storage. Overlapping many staged
-  /// mutations before waiting is what lets the WAL batch them into one
-  /// group commit.
-  Result<StageTicket> StageInterview(int64_t interview_oid,
-                                     const std::string& text);
-  Result<StageTicket> StageFinalizeText();
-  Result<StageTicket> StageVideoDescription(const core::VideoDescription& desc);
-  Result<StageTicket> StageVideoSignatures(
-      int64_t video_id, const std::vector<vision::SignatureRecord>& records);
+  /// Two-phase mutation surface (thread-safe; DESIGN.md §4k): Stage()
+  /// applies `delta` in memory and frames it into the WAL under one hold
+  /// of the mutation mutex (fast, serialized internally), and frames it
+  /// only if it applied; WaitDurable() blocks until the frames are on
+  /// stable storage. Overlapping many staged deltas before waiting is what
+  /// lets the WAL batch them into one group commit; a bulk build stages
+  /// everything and lets Flush() make it durable.
+  Result<StageTicket> Stage(const core::IngestDelta& delta);
   Status WaitDurable(const StageTicket& ticket);
+  /// Stage() + WaitDurable(): durable on return under the open WAL mode.
+  Status Apply(const core::IngestDelta& delta);
 
   /// Folds everything since the last flush into a new segment and starts
   /// a fresh WAL. After Flush returns, the window is durable without the
@@ -150,6 +140,12 @@ class DurableLibrary {
   static Result<Manifest> ReadManifest(const std::string& dir);
   Status WriteManifestLocked();
   Status FlushLocked();
+  /// Applies `delta` to the live library and records an interview as
+  /// pending. Callers serialize: Stage holds mutate_mutex_, Open's replay
+  /// runs before the library is shared.
+  Status ApplyInMemory(const core::IngestDelta& delta);
+  /// Sets every flush watermark to the library's current row counts.
+  Status SetWatermarksLocked();
   storage::segment::LibraryDelta BuildDeltaLocked(
       const text::InvertedIndex* text) const;
 

@@ -5,83 +5,12 @@
 
 namespace cobra::engine::ingest {
 
-IngestDelta IngestDelta::Interview(int64_t oid, std::string text) {
-  IngestDelta out;
-  out.kind = Kind::kInterview;
-  out.interview_oid = oid;
-  out.interview_text = std::move(text);
-  return out;
-}
-
-IngestDelta IngestDelta::FinalizeText() {
-  IngestDelta out;
-  out.kind = Kind::kFinalizeText;
-  return out;
-}
-
-IngestDelta IngestDelta::Video(
-    core::VideoDescription desc,
-    std::vector<vision::SignatureRecord> signatures) {
-  IngestDelta out;
-  out.kind = Kind::kVideo;
-  out.video = std::move(desc);
-  out.signatures = std::move(signatures);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// LibrarySink
-
-Status LibrarySink::Commit(const IngestDelta& delta) {
-  switch (delta.kind) {
-    case IngestDelta::Kind::kInterview:
-      return library_->AddInterview(delta.interview_oid,
-                                    delta.interview_text);
-    case IngestDelta::Kind::kFinalizeText:
-      return library_->FinalizeText();
-    case IngestDelta::Kind::kVideo:
-      COBRA_RETURN_NOT_OK(library_->AddVideoDescription(delta.video));
-      if (!delta.signatures.empty()) {
-        return library_->AddVideoSignatures(delta.video.video_id(),
-                                            delta.signatures);
-      }
-      return Status::OK();
-  }
-  return Status::Internal("unreachable ingest delta kind");
-}
-
 // ---------------------------------------------------------------------------
 // DurableLibrarySink
 
 Status DurableLibrarySink::Commit(const IngestDelta& delta) {
-  switch (delta.kind) {
-    case IngestDelta::Kind::kInterview: {
-      COBRA_ASSIGN_OR_RETURN(
-          DurableLibrary::StageTicket ticket,
-          library_->StageInterview(delta.interview_oid,
-                                   delta.interview_text));
-      last_ticket_ = std::move(ticket);
-      return Status::OK();
-    }
-    case IngestDelta::Kind::kFinalizeText: {
-      COBRA_ASSIGN_OR_RETURN(DurableLibrary::StageTicket ticket,
-                             library_->StageFinalizeText());
-      last_ticket_ = std::move(ticket);
-      return Status::OK();
-    }
-    case IngestDelta::Kind::kVideo: {
-      COBRA_ASSIGN_OR_RETURN(DurableLibrary::StageTicket ticket,
-                             library_->StageVideoDescription(delta.video));
-      if (!delta.signatures.empty()) {
-        COBRA_ASSIGN_OR_RETURN(
-            ticket, library_->StageVideoSignatures(delta.video.video_id(),
-                                                   delta.signatures));
-      }
-      last_ticket_ = std::move(ticket);
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable ingest delta kind");
+  COBRA_ASSIGN_OR_RETURN(last_ticket_, library_->Stage(delta));
+  return Status::OK();
 }
 
 Status DurableLibrarySink::Barrier() {
@@ -130,36 +59,20 @@ Result<std::unique_ptr<ShardedIngestSink>> ShardedIngestSink::Create(
   return out;
 }
 
-Status ShardedIngestSink::Apply(DigitalLibrary* library,
-                                const IngestDelta& delta) {
-  switch (delta.kind) {
-    case IngestDelta::Kind::kInterview:
-      return library->AddInterview(delta.interview_oid, delta.interview_text);
-    case IngestDelta::Kind::kFinalizeText:
-      return library->FinalizeText();
-    case IngestDelta::Kind::kVideo:
-      COBRA_RETURN_NOT_OK(library->AddVideoDescription(delta.video));
-      if (!delta.signatures.empty()) {
-        return library->AddVideoSignatures(delta.video.video_id(),
-                                           delta.signatures);
-      }
-      return Status::OK();
-  }
-  return Status::Internal("unreachable ingest delta kind");
-}
-
 Status ShardedIngestSink::Commit(const IngestDelta& delta) {
-  // Videos (and their signatures) are partitioned; interviews and the
+  // Videos and signature batches are partitioned; interviews and the
   // finalize barrier are replicated into every shard.
-  const bool replicated = delta.kind != IngestDelta::Kind::kVideo;
-  const size_t owner =
-      replicated ? 0 : router_.ShardOf(delta.video.video_id());
+  const bool replicated = delta.kind == IngestDelta::Kind::kInterview ||
+                          delta.kind == IngestDelta::Kind::kFinalizeText;
+  const size_t owner = replicated ? 0 : router_.ShardOf(delta.video_id());
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (!replicated && s != owner) continue;
     Shard& shard = shards_[s];
     const size_t build = 1 - shard.front;
+    // Logged only once applied: a delta that fails leaves no trace for
+    // the catch-up replay either.
+    COBRA_RETURN_NOT_OK(shard.lib[build]->Apply(delta));
     shard.log.push_back(delta);
-    COBRA_RETURN_NOT_OK(Apply(shard.lib[build].get(), delta));
     shard.applied[build] = shard.log_base + shard.log.size();
   }
   return Status::OK();
@@ -187,7 +100,7 @@ Status ShardedIngestSink::Barrier() {
     const uint64_t total = shard.log_base + shard.log.size();
     for (uint64_t i = shard.applied[catchup]; i < total; ++i) {
       COBRA_RETURN_NOT_OK(
-          Apply(shard.lib[catchup].get(), shard.log[i - shard.log_base]));
+          shard.lib[catchup]->Apply(shard.log[i - shard.log_base]));
     }
     shard.applied[catchup] = total;
     // Both copies hold everything: the log window is empty.
@@ -301,7 +214,9 @@ void CorpusIngestPipeline::CommitReadyLocked(
     cv_.notify_all();  // window slots freed
     lock.unlock();
     // Stage the whole batch, then one durability barrier for all of it —
-    // against a group-commit WAL the sweep shares one fdatasync.
+    // against a group-commit WAL the sweep shares one fdatasync. The
+    // barrier also covers the committed part of a sweep that then failed,
+    // so the committed prefix is always durable and visible.
     Status status = Status::OK();
     int64_t committed = 0;
     for (Result<IngestDelta>& result : batch) {
@@ -313,7 +228,10 @@ void CorpusIngestPipeline::CommitReadyLocked(
       if (!status.ok()) break;
       ++committed;
     }
-    if (status.ok()) status = sink_->Barrier();
+    if (committed > 0) {
+      const Status barrier = sink_->Barrier();
+      if (status.ok()) status = barrier;
+    }
     lock.lock();
     committed_ += committed;
     ++sweeps_;

@@ -35,7 +35,8 @@
 ///
 /// Errors are sticky: the first analysis or commit failure fails every
 /// subsequent Submit*/Finish, and nothing past the failed slot commits
-/// (the committed prefix is exactly a prefix of the submission order).
+/// (the committed prefix is exactly a prefix of the submission order, and
+/// a sink barrier covers all of it).
 
 #include <cstdint>
 #include <deque>
@@ -48,33 +49,19 @@
 #include <string>
 #include <vector>
 
-#include "core/video_description.h"
+#include "core/ingest_delta.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
 #include "engine/serving/partition.h"
 #include "engine/serving/serving.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
-#include "vision/signature.h"
 
 namespace cobra::engine::ingest {
 
-/// One committed unit of corpus growth. Videos carry their description
-/// and (possibly empty) signature batch together so a video becomes
-/// queryable and similarity-searchable atomically.
-struct IngestDelta {
-  enum class Kind : uint8_t { kInterview, kFinalizeText, kVideo };
-  Kind kind = Kind::kVideo;
-  int64_t interview_oid = 0;
-  std::string interview_text;
-  core::VideoDescription video;
-  std::vector<vision::SignatureRecord> signatures;
-
-  static IngestDelta Interview(int64_t oid, std::string text);
-  static IngestDelta FinalizeText();
-  static IngestDelta Video(core::VideoDescription desc,
-                           std::vector<vision::SignatureRecord> signatures);
-};
+/// One committed unit of corpus growth (core/ingest_delta.h): the type the
+/// pipeline produces, every sink applies, and the WAL frames.
+using core::IngestDelta;
 
 /// Where committed ingest lands. The pipeline calls Commit from exactly
 /// one thread at a time (the current committer), in submission order;
@@ -94,16 +81,18 @@ class IngestSink {
 class LibrarySink : public IngestSink {
  public:
   explicit LibrarySink(DigitalLibrary* library) : library_(library) {}
-  Status Commit(const IngestDelta& delta) override;
+  Status Commit(const IngestDelta& delta) override {
+    return library_->Apply(delta);
+  }
   Status Barrier() override { return Status::OK(); }
 
  private:
   DigitalLibrary* library_;
 };
 
-/// Sink over a DurableLibrary: Commit stages (apply + WAL-frame, no
-/// sync), Barrier waits for the newest staged record — one wait per
-/// sweep, so the whole sweep shares WAL group commits.
+/// Sink over a DurableLibrary: Commit is one DurableLibrary::Stage (apply
+/// + WAL-frame, no sync), Barrier waits for the newest staged record — one
+/// wait per sweep, so the whole sweep shares WAL group commits.
 class DurableLibrarySink : public IngestSink {
  public:
   explicit DurableLibrarySink(DurableLibrary* library) : library_(library) {}
@@ -115,9 +104,10 @@ class DurableLibrarySink : public IngestSink {
   std::optional<DurableLibrary::StageTicket> last_ticket_;
 };
 
-/// Sink that grows a live sharded serving deployment. Each video's delta
-/// routes to its owning shard (serving::ShardRouter range partitioning);
-/// interviews and FinalizeText fan out to every shard (the replicated
+/// Sink that grows a live sharded serving deployment. Each video's (and
+/// signature batch's) delta routes to its owning shard
+/// (serving::ShardRouter range partitioning); interviews and FinalizeText
+/// fan out to every shard (the replicated
 /// modality, partition.h). Each shard is double-buffered: commits apply
 /// to the build copy, and Barrier publishes it through
 /// ServingFrontend::ReloadShardRetiring — the index-epoch seam — then
@@ -170,8 +160,6 @@ class ShardedIngestSink : public IngestSink {
   };
 
   ShardedIngestSink() = default;
-
-  Status Apply(DigitalLibrary* library, const IngestDelta& delta);
 
   serving::ShardRouter router_;
   std::vector<Shard> shards_;

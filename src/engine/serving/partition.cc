@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <set>
 
 #include "util/strings.h"
@@ -52,6 +53,33 @@ Result<std::unique_ptr<DigitalLibrary>> BuildLibrary(const CorpusParts& parts) {
   return library;
 }
 
+namespace {
+
+/// Replays shard `shard`'s insert sequence into `apply`, one delta at a
+/// time: every interview, FinalizeText (when `finalize_text`), the shard's
+/// videos, then its signature batches, each in CorpusParts order.
+Status ReplayShard(
+    const CorpusParts& parts, const ShardRouter& router, size_t shard,
+    bool finalize_text,
+    const std::function<Status(const core::IngestDelta&)>& apply) {
+  using core::IngestDelta;
+  for (const auto& [oid, text] : parts.interviews) {
+    COBRA_RETURN_NOT_OK(apply(IngestDelta::Interview(oid, text)));
+  }
+  if (finalize_text) COBRA_RETURN_NOT_OK(apply(IngestDelta::FinalizeText()));
+  for (const core::VideoDescription& desc : parts.videos) {
+    if (router.ShardOf(desc.video_id()) != shard) continue;
+    COBRA_RETURN_NOT_OK(apply(IngestDelta::Video(desc, {})));
+  }
+  for (const auto& [video_id, records] : parts.signatures) {
+    if (router.ShardOf(video_id) != shard) continue;
+    COBRA_RETURN_NOT_OK(apply(IngestDelta::Signatures(video_id, records)));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
     const CorpusParts& parts, size_t num_shards, bool finalize_text) {
   if (num_shards == 0) {
@@ -63,18 +91,11 @@ Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
   for (size_t s = 0; s < num_shards; ++s) {
     COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DigitalLibrary> shard,
                            DigitalLibrary::Create(parts.store));
-    for (const auto& [oid, text] : parts.interviews) {
-      COBRA_RETURN_NOT_OK(shard->AddInterview(oid, text));
-    }
-    if (finalize_text) COBRA_RETURN_NOT_OK(shard->FinalizeText());
-    for (const core::VideoDescription& desc : parts.videos) {
-      if (router.ShardOf(desc.video_id()) != s) continue;
-      COBRA_RETURN_NOT_OK(shard->AddVideoDescription(desc));
-    }
-    for (const auto& [video_id, records] : parts.signatures) {
-      if (router.ShardOf(video_id) != s) continue;
-      COBRA_RETURN_NOT_OK(shard->AddVideoSignatures(video_id, records));
-    }
+    COBRA_RETURN_NOT_OK(ReplayShard(
+        parts, router, s, finalize_text,
+        [&shard](const core::IngestDelta& delta) {
+          return shard->Apply(delta);
+        }));
     shards.push_back(std::move(shard));
   }
   return shards;
@@ -100,18 +121,14 @@ Result<std::vector<std::unique_ptr<DurableLibrary>>> BuildDurableShards(
         base_dir + "/" + StringFormat("shard-%04zu", s);
     COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DurableLibrary> shard,
                            DurableLibrary::Create(dir, parts.store));
-    for (const auto& [oid, text] : parts.interviews) {
-      COBRA_RETURN_NOT_OK(shard->AddInterview(oid, text));
-    }
-    COBRA_RETURN_NOT_OK(shard->FinalizeText());
-    for (const core::VideoDescription& desc : parts.videos) {
-      if (router.ShardOf(desc.video_id()) != s) continue;
-      COBRA_RETURN_NOT_OK(shard->AddVideoDescription(desc));
-    }
-    for (const auto& [video_id, records] : parts.signatures) {
-      if (router.ShardOf(video_id) != s) continue;
-      COBRA_RETURN_NOT_OK(shard->AddVideoSignatures(video_id, records));
-    }
+    // Stage only: the closing Flush writes and syncs the segment and
+    // publishes the manifest, so the shard is durable on return without a
+    // WAL sync per record.
+    COBRA_RETURN_NOT_OK(ReplayShard(
+        parts, router, s, /*finalize_text=*/true,
+        [&shard](const core::IngestDelta& delta) {
+          return shard->Stage(delta).status();
+        }));
     COBRA_RETURN_NOT_OK(shard->Flush());
     shards.push_back(std::move(shard));
   }

@@ -78,18 +78,23 @@ Result<std::unique_ptr<DigitalLibrary>> BuildLibrary(const CorpusParts& parts);
 /// Builds `num_shards` in-memory shard libraries: every shard gets a copy
 /// of the store and all interviews (finalized); the distinct video ids are
 /// sorted and split into `num_shards` contiguous ranges, and each shard
-/// indexes only the descriptions in its range (preserving the original
-/// insert order within the shard). Shards may be empty of videos when
-/// there are fewer videos than shards. With `finalize_text` false the
-/// interview index is left open so live ingest can replicate further
-/// interviews (and the eventual FinalizeText) into every shard — the
-/// ShardedIngestSink seed path; text queries fail until finalized.
+/// indexes only the descriptions and signature batches in its range
+/// (preserving the original insert order within the shard). Each shard is
+/// one DigitalLibrary::Apply per delta of its insert sequence: interviews,
+/// FinalizeText, its videos, then its signature batches. Shards may be
+/// empty of videos when there are fewer videos than shards. With
+/// `finalize_text` false the interview index is left open so live ingest
+/// can replicate further interviews (and the eventual FinalizeText) into
+/// every shard — the ShardedIngestSink seed path; text queries fail until
+/// finalized.
 Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
     const CorpusParts& parts, size_t num_shards, bool finalize_text = true);
 
 /// Durable variant: shard i persists under `<base_dir>/shard-NNNN` (its own
-/// segment directory, created via DurableLibrary::Create and flushed), so a
-/// shard's segments are the unit a replica loads.
+/// segment directory, created via DurableLibrary::Create), so a shard's
+/// segments are the unit a replica loads. The same insert sequence is
+/// staged (DurableLibrary::Stage, no WAL sync), and one closing Flush
+/// makes it durable before the shard is returned.
 Result<std::vector<std::unique_ptr<DurableLibrary>>> BuildDurableShards(
     const CorpusParts& parts, size_t num_shards, const std::string& base_dir);
 

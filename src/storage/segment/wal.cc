@@ -8,6 +8,7 @@
 namespace cobra::storage::segment {
 
 using core::CobraLayer;
+using core::IngestDelta;
 using core::VideoDescription;
 using grammar::Annotation;
 using grammar::MetaValue;
@@ -26,6 +27,47 @@ void FrameRecord(WalRecordType type, const ByteWriter& payload,
   out->PutRaw(payload.buffer().data(), payload.size());
 }
 
+ByteWriter FrameSignatures(
+    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
+  ByteWriter payload;
+  payload.PutI64(video_id);
+  payload.PutU64(records.size());
+  payload.PutRaw(records.data(),
+                 records.size() * sizeof(vision::SignatureRecord));
+  ByteWriter frame;
+  FrameRecord(WalRecordType::kAddSignatures, payload, &frame);
+  return frame;
+}
+
+/// `delta`'s frames in file order: one per record, two for a kVideo delta
+/// that carries signatures.
+std::vector<ByteWriter> FrameDelta(const IngestDelta& delta) {
+  std::vector<ByteWriter> frames(1);
+  ByteWriter payload;
+  switch (delta.kind) {
+    case IngestDelta::Kind::kInterview:
+      payload.PutI64(delta.interview_oid);
+      payload.PutString(delta.interview_text);
+      FrameRecord(WalRecordType::kAddInterview, payload, &frames[0]);
+      break;
+    case IngestDelta::Kind::kFinalizeText:
+      FrameRecord(WalRecordType::kFinalizeText, payload, &frames[0]);
+      break;
+    case IngestDelta::Kind::kVideo:
+      EncodeVideoDescription(delta.video, &payload);
+      FrameRecord(WalRecordType::kAddVideo, payload, &frames[0]);
+      if (!delta.signatures.empty()) {
+        frames.push_back(
+            FrameSignatures(delta.video.video_id(), delta.signatures));
+      }
+      break;
+    case IngestDelta::Kind::kSignatures:
+      frames[0] = FrameSignatures(delta.signature_video, delta.signatures);
+      break;
+  }
+  return frames;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<GroupCommitWal>> GroupCommitWal::Open(
@@ -36,32 +78,33 @@ Result<std::unique_ptr<GroupCommitWal>> GroupCommitWal::Open(
   return out;
 }
 
-Result<uint64_t> GroupCommitWal::StageRecord(WalRecordType type,
-                                             const ByteWriter& payload) {
-  ByteWriter frame;
-  FrameRecord(type, payload, &frame);
+Result<uint64_t> GroupCommitWal::Stage(const IngestDelta& delta) {
+  const std::vector<ByteWriter> frames = FrameDelta(delta);
   std::unique_lock<std::mutex> lock(mutex_);
   if (!io_error_.ok()) return io_error_;
-  const uint64_t seq = ++staged_seq_;
-  if (mode_ == WalMode::kGroupCommit) {
-    staged_.insert(staged_.end(), frame.buffer().begin(),
-                   frame.buffer().end());
-    return seq;
+  for (const ByteWriter& frame : frames) {
+    const uint64_t seq = ++staged_seq_;
+    if (mode_ == WalMode::kGroupCommit) {
+      staged_.insert(staged_.end(), frame.buffer().begin(),
+                     frame.buffer().end());
+      continue;
+    }
+    // Sync-each and buffered modes write through immediately, one frame
+    // at a time; staging order and file order coincide because the lock
+    // is held across the write.
+    Status status = file_.Append(frame.buffer().data(), frame.size());
+    if (status.ok() && mode_ == WalMode::kSyncEachRecord) {
+      status = file_.Sync();
+      ++sync_calls_;
+    }
+    if (!status.ok()) {
+      io_error_ = status;
+      return status;
+    }
+    durable_seq_ = seq;
+    durable_bytes_ = file_.bytes_appended();
   }
-  // Sync-each and buffered modes write through immediately; staging order
-  // and file order coincide because the lock is held across the write.
-  Status status = file_.Append(frame.buffer().data(), frame.size());
-  if (status.ok() && mode_ == WalMode::kSyncEachRecord) {
-    status = file_.Sync();
-    ++sync_calls_;
-  }
-  if (!status.ok()) {
-    io_error_ = status;
-    return status;
-  }
-  durable_seq_ = seq;
-  durable_bytes_ = file_.bytes_appended();
-  return seq;
+  return staged_seq_;
 }
 
 Status GroupCommitWal::CommitLocked(std::unique_lock<std::mutex>& lock,
@@ -143,55 +186,6 @@ int64_t GroupCommitWal::sync_calls() {
 int64_t GroupCommitWal::records_committed() {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int64_t>(durable_seq_);
-}
-
-Result<uint64_t> GroupCommitWal::StageInterview(int64_t oid,
-                                                const std::string& text) {
-  ByteWriter payload;
-  payload.PutI64(oid);
-  payload.PutString(text);
-  return StageRecord(WalRecordType::kAddInterview, payload);
-}
-
-Result<uint64_t> GroupCommitWal::StageFinalizeText() {
-  return StageRecord(WalRecordType::kFinalizeText, ByteWriter());
-}
-
-Result<uint64_t> GroupCommitWal::StageVideo(const VideoDescription& desc) {
-  ByteWriter payload;
-  EncodeVideoDescription(desc, &payload);
-  return StageRecord(WalRecordType::kAddVideo, payload);
-}
-
-Result<uint64_t> GroupCommitWal::StageSignatures(
-    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
-  ByteWriter payload;
-  payload.PutI64(video_id);
-  payload.PutU64(records.size());
-  payload.PutRaw(records.data(),
-                 records.size() * sizeof(vision::SignatureRecord));
-  return StageRecord(WalRecordType::kAddSignatures, payload);
-}
-
-Status GroupCommitWal::AppendInterview(int64_t oid, const std::string& text) {
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, StageInterview(oid, text));
-  return WaitDurable(seq);
-}
-
-Status GroupCommitWal::AppendFinalizeText() {
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, StageFinalizeText());
-  return WaitDurable(seq);
-}
-
-Status GroupCommitWal::AppendVideo(const VideoDescription& desc) {
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, StageVideo(desc));
-  return WaitDurable(seq);
-}
-
-Status GroupCommitWal::AppendSignatures(
-    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
-  COBRA_ASSIGN_OR_RETURN(uint64_t seq, StageSignatures(video_id, records));
-  return WaitDurable(seq);
 }
 
 void EncodeVideoDescription(const VideoDescription& desc, ByteWriter* out) {
@@ -285,8 +279,8 @@ Result<VideoDescription> DecodeVideoDescription(ByteReader* in) {
   return desc;
 }
 
-Result<std::vector<WalRecord>> ReplayWal(const std::string& path) {
-  std::vector<WalRecord> out;
+Result<std::vector<IngestDelta>> ReplayWal(const std::string& path) {
+  std::vector<IngestDelta> out;
   if (!FileExists(path)) return out;
   COBRA_ASSIGN_OR_RETURN(MmapFile map, MmapFile::Open(path));
   size_t pos = 0;
@@ -303,38 +297,38 @@ Result<std::vector<WalRecord>> ReplayWal(const std::string& path) {
     actual = util::Crc32(map.data() + pos + 9, len, actual);
     if (actual != crc) break;  // torn or corrupt frame
     ByteReader payload(map.data() + pos + 9, len);
-    WalRecord record;
+    IngestDelta delta;
     bool parsed = true;
     switch (type_byte) {
       case static_cast<uint8_t>(WalRecordType::kAddInterview):
-        record.type = WalRecordType::kAddInterview;
-        parsed = payload.GetI64(&record.interview_oid) &&
-                 payload.GetString(&record.interview_text);
+        delta.kind = IngestDelta::Kind::kInterview;
+        parsed = payload.GetI64(&delta.interview_oid) &&
+                 payload.GetString(&delta.interview_text);
         break;
       case static_cast<uint8_t>(WalRecordType::kFinalizeText):
-        record.type = WalRecordType::kFinalizeText;
+        delta.kind = IngestDelta::Kind::kFinalizeText;
         break;
       case static_cast<uint8_t>(WalRecordType::kAddVideo): {
-        record.type = WalRecordType::kAddVideo;
+        delta.kind = IngestDelta::Kind::kVideo;
         Result<VideoDescription> video = DecodeVideoDescription(&payload);
         if (video.ok()) {
-          record.video = video.TakeValue();
+          delta.video = video.TakeValue();
         } else {
           parsed = false;
         }
         break;
       }
       case static_cast<uint8_t>(WalRecordType::kAddSignatures): {
-        record.type = WalRecordType::kAddSignatures;
+        delta.kind = IngestDelta::Kind::kSignatures;
         uint64_t count = 0;
-        parsed = payload.GetI64(&record.signature_video) &&
+        parsed = payload.GetI64(&delta.signature_video) &&
                  payload.GetU64(&count) &&
                  count <= payload.remaining() /
                               sizeof(vision::SignatureRecord);
         if (parsed) {
-          record.signatures.resize(count);
+          delta.signatures.resize(count);
           parsed = payload.GetRaw(
-              record.signatures.data(),
+              delta.signatures.data(),
               count * sizeof(vision::SignatureRecord));
         }
         break;
@@ -343,7 +337,7 @@ Result<std::vector<WalRecord>> ReplayWal(const std::string& path) {
         parsed = false;
     }
     if (!parsed) break;  // checksum passed but payload malformed: stop here
-    out.push_back(std::move(record));
+    out.push_back(std::move(delta));
     pos += 9 + len;
   }
   return out;

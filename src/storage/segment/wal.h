@@ -3,16 +3,18 @@
 /// \file wal.h
 /// Write-ahead log for durable library ingest (DESIGN.md §4h).
 ///
-/// Every mutating operation between two segment flushes is framed into the
-/// current WAL file *before* it is applied in memory:
+/// Every library mutation between two segment flushes is one
+/// core::IngestDelta, framed into the current WAL file once it applied in
+/// memory (DurableLibrary::Stage holds one lock across both steps):
 ///
 ///   [u32 payload_len][u32 crc32][u8 type][payload]
 ///
-/// where the CRC covers type + payload. Replay reapplies records in order
-/// and stops at the first frame that is truncated or fails its checksum —
-/// the accepted crash semantics: a torn tail is the operation that never
-/// happened. A Flush writes a segment covering everything the WAL held and
-/// starts a fresh log, so recovery cost is bounded by one flush window.
+/// where the CRC covers type + payload. Replay hands the records back as
+/// deltas, in order, and stops at the first frame that is truncated or
+/// fails its checksum — the accepted crash semantics: a torn tail is the
+/// operation that never happened. A Flush writes a segment covering
+/// everything the WAL held and starts a fresh log, so recovery cost is
+/// bounded by one flush window.
 
 #include <condition_variable>
 #include <cstdint>
@@ -21,29 +23,22 @@
 #include <string>
 #include <vector>
 
+#include "core/ingest_delta.h"
 #include "core/video_description.h"
 #include "storage/segment/format.h"
 #include "storage/segment/io.h"
 #include "util/status.h"
-#include "vision/signature.h"
 
 namespace cobra::storage::segment {
 
+/// Frame tags. A kVideo delta with signatures is two frames (kAddVideo,
+/// then kAddSignatures), each with its own sequence number, and replays as
+/// a kVideo delta without signatures followed by a kSignatures delta.
 enum class WalRecordType : uint8_t {
   kAddInterview = 1,   ///< i64 oid, string text
   kFinalizeText = 2,   ///< empty payload
   kAddVideo = 3,       ///< serialized core::VideoDescription
   kAddSignatures = 4,  ///< i64 video_id, u64 count, SignatureRecord[count]
-};
-
-/// One decoded WAL record; the fields of the other types are default.
-struct WalRecord {
-  WalRecordType type = WalRecordType::kFinalizeText;
-  int64_t interview_oid = 0;
-  std::string interview_text;
-  core::VideoDescription video;
-  int64_t signature_video = -1;
-  std::vector<vision::SignatureRecord> signatures;
 };
 
 /// How WAL appends reach stable storage (DESIGN.md §4k).
@@ -65,12 +60,12 @@ enum class WalMode : uint8_t {
 };
 
 /// The write-ahead log writer, with group commit. Any number of threads
-/// may stage records concurrently; each lands in the file as one frame of
-/// the layout in the file comment, which ReplayWal reads back.
+/// may stage deltas concurrently; each record lands in the file as one
+/// frame of the layout in the file comment, which ReplayWal reads back.
 ///
 /// The two-phase surface is what lets callers overlap durability waits:
-///   seq = Stage...(...)   // frames + orders the record; returns at once
-///   WaitDurable(seq)      // blocks until the record is on stable storage
+///   seq = Stage(delta)    // frames + orders the delta; returns at once
+///   WaitDurable(seq)      // blocks until the delta is on stable storage
 /// Stage order IS file order (staging appends to the shared group buffer
 /// under the log mutex), so callers that need replay order to match an
 /// in-memory apply order stage under the same lock that applies.
@@ -83,25 +78,15 @@ class GroupCommitWal {
   static Result<std::unique_ptr<GroupCommitWal>> Open(const std::string& path,
                                                       WalMode mode);
 
-  /// Stages one framed record; returns its 1-based sequence number.
-  Result<uint64_t> StageInterview(int64_t oid, const std::string& text);
-  Result<uint64_t> StageFinalizeText();
-  Result<uint64_t> StageVideo(const core::VideoDescription& desc);
-  Result<uint64_t> StageSignatures(
-      int64_t video_id, const std::vector<vision::SignatureRecord>& records);
+  /// Stages the frames of one delta; returns the sequence number of its
+  /// last frame (sequence numbers count frames, 1-based).
+  Result<uint64_t> Stage(const core::IngestDelta& delta);
 
   /// Blocks until record `seq` is durable under the open mode: synced
   /// (kSyncEachRecord, kGroupCommit) or written (kBuffered). The calling
   /// thread may be elected group leader and perform the batched
   /// write + fdatasync itself.
   Status WaitDurable(uint64_t seq);
-
-  /// Stage + WaitDurable conveniences (the serial writer surface).
-  Status AppendInterview(int64_t oid, const std::string& text);
-  Status AppendFinalizeText();
-  Status AppendVideo(const core::VideoDescription& desc);
-  Status AppendSignatures(int64_t video_id,
-                          const std::vector<vision::SignatureRecord>& records);
 
   /// Drains the staging buffer and syncs the file (all modes). After
   /// FlushAll returns OK every staged record is durable — the pre-rotation
@@ -120,7 +105,6 @@ class GroupCommitWal {
  private:
   GroupCommitWal() = default;
 
-  Result<uint64_t> StageRecord(WalRecordType type, const ByteWriter& payload);
   /// With `lock` held: writes + syncs the staged batch as leader, or waits
   /// for a leader to cover `seq`. Returns when durable_seq_ >= seq.
   Status CommitLocked(std::unique_lock<std::mutex>& lock, uint64_t seq);
@@ -144,9 +128,9 @@ void EncodeVideoDescription(const core::VideoDescription& desc,
                             ByteWriter* out);
 Result<core::VideoDescription> DecodeVideoDescription(ByteReader* in);
 
-/// Replays `path`: returns every intact record in order, silently dropping
-/// the torn tail (truncated or checksum-failing frame and everything after
-/// it). A missing file replays as empty.
-Result<std::vector<WalRecord>> ReplayWal(const std::string& path);
+/// Replays `path`: returns the delta of every intact record in order,
+/// silently dropping the torn tail (truncated or checksum-failing frame and
+/// everything after it). A missing file replays as empty.
+Result<std::vector<core::IngestDelta>> ReplayWal(const std::string& path);
 
 }  // namespace cobra::storage::segment

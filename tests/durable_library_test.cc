@@ -3,9 +3,10 @@
 ///   * create → ingest → flush → reopen answers the full 16-modality
 ///     planner sweep identically to the never-persisted library, in both
 ///     mmap (zero-copy) and heap restore modes;
-///   * crash recovery: the WAL truncated mid-record at randomized offsets
-///     reopens cleanly and answers exactly like a clean build over the
-///     surviving record prefix;
+///   * crash recovery: the WAL (video and signature frames) truncated
+///     mid-record at randomized offsets reopens cleanly and answers the
+///     sweep and similar_to queries exactly like a clean build over the
+///     surviving delta prefix;
 ///   * background compaction (tsan-labeled): queries run concurrently
 ///     with CompactAsync and stay bit-identical before, during, and after
 ///     the merged segment is published;
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ingest_delta.h"
 #include "core/video_description.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
@@ -29,6 +31,7 @@
 #include "storage/segment/wal.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "vision/signature.h"
 #include "webspace/site_synthesizer.h"
 
 namespace cobra::engine {
@@ -62,6 +65,34 @@ core::VideoDescription MakeVideo(int64_t oid, uint64_t salt = 5) {
                  .Set("player", rng.NextInt(-1, 1)));
   }
   return desc;
+}
+
+/// Four shots per video. Shot k of every video is a near-duplicate of one
+/// shared base signature (a few hash bits flipped), so similar_to queries
+/// find neighbors in other videos.
+std::vector<vision::SignatureRecord> MakeSignatures(int64_t oid) {
+  Rng base_rng(99);
+  vision::ShotSignature bases[4];
+  for (vision::ShotSignature& base : bases) {
+    for (uint64_t& word : base.hash) word = base_rng.NextU64();
+  }
+  Rng rng(static_cast<uint64_t>(oid) * 131 + 9);
+  std::vector<vision::SignatureRecord> records(4);
+  for (size_t k = 0; k < records.size(); ++k) {
+    vision::SignatureRecord& rec = records[k];
+    rec.sig = bases[k];
+    for (uint64_t flips = 1 + rng.NextBounded(6); flips > 0; --flips) {
+      const uint64_t bit = rng.NextBounded(256);
+      rec.sig.hash[bit / 64] ^= uint64_t{1} << (bit % 64);
+    }
+    for (uint8_t& byte : rec.sig.sketch) {
+      byte = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    rec.video_id = oid;
+    rec.begin = static_cast<int64_t>(k) * 1000;
+    rec.end = rec.begin + 999;
+  }
+  return records;
 }
 
 /// The 16-modality sweep: every subset of {predicates, champion, text,
@@ -115,9 +146,40 @@ std::vector<CombinedQuery> SweepQueries() {
   return queries;
 }
 
+/// similar_to queries probing signed shots (MakeSignatures) of the site's
+/// first and last video, alone and combined with each other modality.
+/// Against a library without those signatures they fail with NotFound.
+std::vector<CombinedQuery> SimilarQueries() {
+  const std::vector<int64_t> videos = MakeSite().video_oids;
+  std::vector<CombinedQuery> queries;
+  for (int64_t probe : {videos.front(), videos.back()}) {
+    for (int variant = 0; variant < 5; ++variant) {
+      CombinedQuery query;
+      query.similar_video = probe;
+      query.similar_frame = 500 + 1000 * (variant % 4);
+      if (variant == 1) query.event = "net_play";
+      if (variant == 2) {
+        query.player_predicates.push_back(
+            {"gender", CompareOp::kEq, std::string("female")});
+      }
+      if (variant == 3) query.text = "champion title";
+      if (variant == 4) {
+        query.require_champion = true;
+        query.similar_k = 3;
+      }
+      queries.push_back(std::move(query));
+    }
+  }
+  return queries;
+}
+
 void ExpectSameAnswers(const DigitalLibrary& expected,
                        const DigitalLibrary& actual, const char* label) {
-  for (const CombinedQuery& query : SweepQueries()) {
+  std::vector<CombinedQuery> queries = SweepQueries();
+  for (CombinedQuery& query : SimilarQueries()) {
+    queries.push_back(std::move(query));
+  }
+  for (const CombinedQuery& query : queries) {
     auto hits_expected = expected.Search(query);
     auto hits_actual = actual.Search(query);
     ASSERT_EQ(hits_expected.ok(), hits_actual.ok()) << label;
@@ -141,13 +203,17 @@ void ExpectSameAnswers(const DigitalLibrary& expected,
       std::memcpy(&bits_a, &a.text_score, 8);
       std::memcpy(&bits_b, &b.text_score, 8);
       EXPECT_EQ(bits_a, bits_b) << label << " hit " << i;
+      std::memcpy(&bits_a, &a.similarity, 8);
+      std::memcpy(&bits_b, &b.similarity, 8);
+      EXPECT_EQ(bits_a, bits_b) << label << " similarity of hit " << i;
     }
   }
 }
 
-/// A never-persisted reference library over the same synthesized site.
+/// A never-persisted reference library over the same synthesized site:
+/// every interview and video, or exactly the deltas of `op_prefix`.
 std::unique_ptr<DigitalLibrary> CleanLibrary(
-    const std::vector<seg::WalRecord>* op_prefix = nullptr) {
+    const std::vector<core::IngestDelta>* op_prefix = nullptr) {
   auto site = MakeSite();
   auto interviews = site.interview_texts;
   auto videos = site.video_oids;
@@ -161,21 +227,8 @@ std::unique_ptr<DigitalLibrary> CleanLibrary(
       EXPECT_TRUE(library->AddVideoDescription(MakeVideo(oid)).ok());
     }
   } else {
-    for (const seg::WalRecord& record : *op_prefix) {
-      switch (record.type) {
-        case seg::WalRecordType::kAddInterview:
-          EXPECT_TRUE(library
-                          ->AddInterview(record.interview_oid,
-                                         record.interview_text)
-                          .ok());
-          break;
-        case seg::WalRecordType::kFinalizeText:
-          EXPECT_TRUE(library->FinalizeText().ok());
-          break;
-        case seg::WalRecordType::kAddVideo:
-          EXPECT_TRUE(library->AddVideoDescription(record.video).ok());
-          break;
-      }
+    for (const core::IngestDelta& delta : *op_prefix) {
+      EXPECT_TRUE(library->Apply(delta).ok());
     }
   }
   return library;
@@ -183,12 +236,10 @@ std::unique_ptr<DigitalLibrary> CleanLibrary(
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + name;
-  if (seg::FileExists(dir + "/MANIFEST") || true) {
-    auto entries = seg::ListDir(dir);
-    if (entries.ok()) {
-      for (const std::string& entry : *entries) {
-        (void)seg::RemoveFile(dir + "/" + entry);
-      }
+  auto entries = seg::ListDir(dir);
+  if (entries.ok()) {
+    for (const std::string& entry : *entries) {
+      (void)seg::RemoveFile(dir + "/" + entry);
     }
   }
   EXPECT_TRUE(seg::CreateDir(dir).ok());
@@ -204,15 +255,18 @@ std::unique_ptr<DurableLibrary> IngestEverything(const std::string& dir,
       DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
   size_t count = 0;
   for (const auto& [oid, body] : interviews) {
-    EXPECT_TRUE(durable->AddInterview(oid, body).ok());
+    EXPECT_TRUE(durable->Apply(core::IngestDelta::Interview(oid, body)).ok());
     if (flush_mid_ingest && ++count == interviews.size() / 2) {
       EXPECT_TRUE(durable->Flush().ok());
     }
   }
-  EXPECT_TRUE(durable->FinalizeText().ok());
-  if (flush_mid_ingest) EXPECT_TRUE(durable->Flush().ok());
+  EXPECT_TRUE(durable->Apply(core::IngestDelta::FinalizeText()).ok());
+  if (flush_mid_ingest) {
+    EXPECT_TRUE(durable->Flush().ok());
+  }
   for (int64_t oid : videos) {
-    EXPECT_TRUE(durable->AddVideoDescription(MakeVideo(oid)).ok());
+    EXPECT_TRUE(
+        durable->Apply(core::IngestDelta::Video(MakeVideo(oid), {})).ok());
   }
   EXPECT_TRUE(durable->Flush().ok());
   return durable;
@@ -256,11 +310,13 @@ TEST(DurableLibraryTest, WalReplayRecoversUnflushedMutations) {
     auto durable =
         DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
     for (const auto& [oid, body] : interviews) {
-      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+      ASSERT_TRUE(
+          durable->Apply(core::IngestDelta::Interview(oid, body)).ok());
     }
-    ASSERT_TRUE(durable->FinalizeText().ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::FinalizeText()).ok());
     for (int64_t oid : videos) {
-      ASSERT_TRUE(durable->AddVideoDescription(MakeVideo(oid)).ok());
+      ASSERT_TRUE(
+          durable->Apply(core::IngestDelta::Video(MakeVideo(oid), {})).ok());
     }
     // No Flush: everything after Create lives only in the WAL.
     EXPECT_EQ(durable->num_segments(), 1u);
@@ -281,11 +337,17 @@ TEST(DurableLibraryTest, TruncatedWalRecoversPrefixIdentically) {
     auto durable =
         DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
     for (const auto& [oid, body] : interviews) {
-      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+      ASSERT_TRUE(
+          durable->Apply(core::IngestDelta::Interview(oid, body)).ok());
     }
-    ASSERT_TRUE(durable->FinalizeText().ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::FinalizeText()).ok());
+    // Every video with its signature batch: the WAL holds a kAddVideo and
+    // a kAddSignatures frame per video.
     for (int64_t oid : videos) {
-      ASSERT_TRUE(durable->AddVideoDescription(MakeVideo(oid)).ok());
+      ASSERT_TRUE(durable
+                      ->Apply(core::IngestDelta::Video(MakeVideo(oid),
+                                                       MakeSignatures(oid)))
+                      .ok());
     }
   }
   // Locate the WAL and the rest of the durable directory.
@@ -325,6 +387,16 @@ TEST(DurableLibraryTest, TruncatedWalRecoversPrefixIdentically) {
     auto prefix =
         seg::ReplayWal(crash_dir + "/" + wal_name).TakeValue();
     auto expected = CleanLibrary(&prefix);
+    if (keep == full_wal.size()) {
+      // Every probe resolves, and the probes find similar scenes.
+      size_t similar_hits = 0;
+      for (const CombinedQuery& query : SimilarQueries()) {
+        auto hits = expected->Search(query);
+        ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+        similar_hits += hits->size();
+      }
+      EXPECT_GT(similar_hits, 0u);
+    }
 
     auto recovered = DurableLibrary::Open(crash_dir);
     ASSERT_TRUE(recovered.ok()) << "keep=" << keep << ": "
@@ -425,15 +497,16 @@ TEST(MetaIndexEventRowsTest, SameRowsPerVideoOnEveryRestorePath) {
   {
     auto durable = DurableLibrary::Create(dir, site.store).TakeValue();
     for (const auto& [oid, body] : site.interview_texts) {
-      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+      ASSERT_TRUE(
+          durable->Apply(core::IngestDelta::Interview(oid, body)).ok());
     }
-    ASSERT_TRUE(durable->FinalizeText().ok());
-    ASSERT_TRUE(durable->AddVideoDescription(descs[0]).ok());
-    ASSERT_TRUE(durable->AddVideoDescription(descs[1]).ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::FinalizeText()).ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::Video(descs[0], {})).ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::Video(descs[1], {})).ok());
     ASSERT_TRUE(durable->Flush().ok());
     // The rest stays in the WAL.
-    ASSERT_TRUE(durable->AddVideoDescription(descs[2]).ok());
-    ASSERT_TRUE(durable->AddVideoDescription(descs[3]).ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::Video(descs[2], {})).ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::Video(descs[3], {})).ok());
     ExpectSameEventRows(want, durable->library().meta_index(), ids,
                         "AddVideo");
   }

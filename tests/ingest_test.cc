@@ -205,23 +205,7 @@ std::vector<IngestDelta> MakeOps(const webspace::SynthesizedSite& site) {
 /// Applies `ops` the serial way — the oracle arm.
 void ApplySerial(DigitalLibrary* library, const std::vector<IngestDelta>& ops) {
   for (const IngestDelta& op : ops) {
-    switch (op.kind) {
-      case IngestDelta::Kind::kInterview:
-        ASSERT_TRUE(library->AddInterview(op.interview_oid,
-                                          op.interview_text).ok());
-        break;
-      case IngestDelta::Kind::kFinalizeText:
-        ASSERT_TRUE(library->FinalizeText().ok());
-        break;
-      case IngestDelta::Kind::kVideo:
-        ASSERT_TRUE(library->AddVideoDescription(op.video).ok());
-        if (!op.signatures.empty()) {
-          ASSERT_TRUE(
-              library->AddVideoSignatures(op.video.video_id(), op.signatures)
-                  .ok());
-        }
-        break;
-    }
+    ASSERT_TRUE(library->Apply(op).ok());
   }
 }
 
@@ -241,7 +225,8 @@ Status RunOps(CorpusIngestPipeline* pipeline,
       case IngestDelta::Kind::kFinalizeText:
         status = pipeline->SubmitFinalizeText();
         break;
-      case IngestDelta::Kind::kVideo: {
+      case IngestDelta::Kind::kVideo:
+      case IngestDelta::Kind::kSignatures: {
         auto delta = std::make_shared<IngestDelta>(op);
         const int stagger_us = static_cast<int>((i * 37) % 5) * 150;
         status = pipeline->SubmitVideo(
@@ -263,6 +248,12 @@ Status RunOps(CorpusIngestPipeline* pipeline,
 // ---------------------------------------------------------------------------
 // GroupCommitWal
 
+/// Stages `delta` and waits for it (the serial writer surface).
+Status StageAndWait(seg::GroupCommitWal* wal, const IngestDelta& delta) {
+  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal->Stage(delta));
+  return wal->WaitDurable(seq);
+}
+
 TEST(GroupCommitWalTest, AllModesRoundTripThroughReplay) {
   const seg::WalMode modes[] = {seg::WalMode::kSyncEachRecord,
                                 seg::WalMode::kGroupCommit,
@@ -271,12 +262,14 @@ TEST(GroupCommitWalTest, AllModesRoundTripThroughReplay) {
     const std::string dir = FreshDir("wal_mode_" + std::to_string(m));
     const std::string path = dir + "/test.wal";
     auto wal = seg::GroupCommitWal::Open(path, modes[m]).TakeValue();
-    ASSERT_TRUE(wal->AppendInterview(11, "first interview").ok());
-    ASSERT_TRUE(wal->AppendInterview(12, "second interview").ok());
-    ASSERT_TRUE(wal->AppendFinalizeText().ok());
-    ASSERT_TRUE(wal->AppendVideo(MakeVideo(7)).ok());
     const auto sigs = MakeSignatures(7);
-    ASSERT_TRUE(wal->AppendSignatures(7, sigs).ok());
+    for (const IngestDelta& delta :
+         {IngestDelta::Interview(11, "first interview"),
+          IngestDelta::Interview(12, "second interview"),
+          IngestDelta::FinalizeText(), IngestDelta::Video(MakeVideo(7), {}),
+          IngestDelta::Signatures(7, sigs)}) {
+      ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
+    }
     EXPECT_EQ(wal->records_committed(), 5);
     switch (modes[m]) {
       case seg::WalMode::kSyncEachRecord:
@@ -294,14 +287,14 @@ TEST(GroupCommitWalTest, AllModesRoundTripThroughReplay) {
 
     auto replay = seg::ReplayWal(path).TakeValue();
     ASSERT_EQ(replay.size(), 5u);
-    EXPECT_EQ(replay[0].type, seg::WalRecordType::kAddInterview);
+    EXPECT_EQ(replay[0].kind, IngestDelta::Kind::kInterview);
     EXPECT_EQ(replay[0].interview_oid, 11);
     EXPECT_EQ(replay[0].interview_text, "first interview");
     EXPECT_EQ(replay[1].interview_oid, 12);
-    EXPECT_EQ(replay[2].type, seg::WalRecordType::kFinalizeText);
-    EXPECT_EQ(replay[3].type, seg::WalRecordType::kAddVideo);
+    EXPECT_EQ(replay[2].kind, IngestDelta::Kind::kFinalizeText);
+    EXPECT_EQ(replay[3].kind, IngestDelta::Kind::kVideo);
     EXPECT_EQ(replay[3].video.video_id(), 7);
-    EXPECT_EQ(replay[4].type, seg::WalRecordType::kAddSignatures);
+    EXPECT_EQ(replay[4].kind, IngestDelta::Kind::kSignatures);
     EXPECT_EQ(replay[4].signature_video, 7);
     ASSERT_EQ(replay[4].signatures.size(), sigs.size());
     EXPECT_EQ(std::memcmp(replay[4].signatures.data(), sigs.data(),
@@ -329,7 +322,9 @@ TEST(GroupCommitWalTest, ConcurrentWritersInterleaveWithoutCorruption) {
     writers.emplace_back([&wal, t] {
       for (int i = 0; i < kPerWriter; ++i) {
         const int64_t oid = t * 1000 + i;
-        ASSERT_TRUE(wal->AppendInterview(oid, InterviewBody(oid)).ok());
+        const IngestDelta delta =
+            IngestDelta::Interview(oid, InterviewBody(oid));
+        ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
       }
     });
   }
@@ -341,8 +336,8 @@ TEST(GroupCommitWalTest, ConcurrentWritersInterleaveWithoutCorruption) {
   auto replay = seg::ReplayWal(path).TakeValue();
   ASSERT_EQ(replay.size(), static_cast<size_t>(kWriters * kPerWriter));
   std::set<int64_t> oids;
-  for (const seg::WalRecord& record : replay) {
-    ASSERT_EQ(record.type, seg::WalRecordType::kAddInterview);
+  for (const IngestDelta& record : replay) {
+    ASSERT_EQ(record.kind, IngestDelta::Kind::kInterview);
     EXPECT_EQ(record.interview_text, InterviewBody(record.interview_oid));
     oids.insert(record.interview_oid);
   }
@@ -370,7 +365,8 @@ TEST(GroupCommitWalTest, NoAcknowledgedRecordLostAtAnyTruncation) {
     writers.emplace_back([&wal, &acks, t] {
       for (int i = 0; i < kPerWriter; ++i) {
         const int64_t oid = t * 1000 + i;
-        auto staged = wal->StageInterview(oid, InterviewBody(oid));
+        auto staged =
+            wal->Stage(IngestDelta::Interview(oid, InterviewBody(oid)));
         ASSERT_TRUE(staged.ok());
         ASSERT_TRUE(wal->WaitDurable(*staged).ok());
         acks[t].push_back({oid, wal->durable_bytes()});
@@ -395,8 +391,8 @@ TEST(GroupCommitWalTest, NoAcknowledgedRecordLostAtAnyTruncation) {
     auto replay = seg::ReplayWal(trunc);
     ASSERT_TRUE(replay.ok()) << label;  // torn tails never error
     std::set<int64_t> survived;
-    for (const seg::WalRecord& record : *replay) {
-      ASSERT_EQ(record.type, seg::WalRecordType::kAddInterview) << label;
+    for (const IngestDelta& record : *replay) {
+      ASSERT_EQ(record.kind, IngestDelta::Kind::kInterview) << label;
       // Clean prefix: whatever replays is uncorrupted.
       EXPECT_EQ(record.interview_text, InterviewBody(record.interview_oid))
           << label;
@@ -564,6 +560,122 @@ TEST(IngestPipelineTest, DurableIngestMatchesOracleUnderEveryWalMode) {
     // Everything acknowledged is in the WAL: reopen replays it.
     auto reopened = DurableLibrary::Open(dir).TakeValue();
     ExpectSameAnswers(*oracle, reopened->library(), label + " reopened");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A failed delta leaves no trace
+
+/// A second description of `oid` whose second signature record names
+/// another video: the one way a video delta's signature batch can fail.
+IngestDelta MismatchedVideoDelta(int64_t oid) {
+  std::vector<vision::SignatureRecord> records = MakeSignatures(oid);
+  records[1].video_id = oid + 1;
+  return IngestDelta::Video(MakeVideo(oid), std::move(records));
+}
+
+/// `actual` holds exactly what `expected` holds: the same videos, event
+/// rows, signature records, index epoch and sweep answers.
+void ExpectSameLibrary(const DigitalLibrary& expected,
+                       const DigitalLibrary& actual, const std::string& label) {
+  EXPECT_EQ(expected.indexed_videos(), actual.indexed_videos()) << label;
+  EXPECT_EQ(expected.meta_index().events().num_rows(),
+            actual.meta_index().events().num_rows())
+      << label;
+  EXPECT_EQ(expected.signatures().num_records(),
+            actual.signatures().num_records())
+      << label;
+  EXPECT_EQ(expected.index_epoch(), actual.index_epoch()) << label;
+  ExpectSameAnswers(expected, actual, label);
+}
+
+/// Runs `ops` and then the failing `bad` delta through a pipeline over
+/// `sink`: the failure surfaces as InvalidArgument and only `ops` commit.
+void ExpectPipelineRejects(IngestSink* sink,
+                           const std::vector<IngestDelta>& ops,
+                           const IngestDelta& bad) {
+  util::ThreadPool pool(2);
+  CorpusIngestPipeline::Options options;
+  options.pool = &pool;
+  CorpusIngestPipeline pipeline(sink, options);
+  std::vector<IngestDelta> all = ops;
+  all.push_back(bad);
+  const Status status = RunOps(&pipeline, all);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(pipeline.stats().committed, static_cast<int64_t>(ops.size()));
+}
+
+TEST(IngestDeltaTest, FailedVideoDeltaLeavesNoTrace) {
+  auto oracle_site = MakeSite();
+  const std::vector<IngestDelta> ops = MakeOps(oracle_site);
+  const IngestDelta bad = MismatchedVideoDelta(oracle_site.video_oids.front());
+  auto oracle =
+      DigitalLibrary::Create(std::move(oracle_site.store)).TakeValue();
+  ApplySerial(oracle.get(), ops);
+
+  {
+    auto library = DigitalLibrary::Create(MakeSite().store).TakeValue();
+    ApplySerial(library.get(), ops);
+    EXPECT_TRUE(library->Apply(bad).IsInvalidArgument());
+    ExpectSameLibrary(*oracle, *library, "DigitalLibrary::Apply");
+  }
+  {
+    auto library = DigitalLibrary::Create(MakeSite().store).TakeValue();
+    LibrarySink sink(library.get());
+    ExpectPipelineRejects(&sink, ops, bad);
+    ExpectSameLibrary(*oracle, *library, "pipeline into LibrarySink");
+  }
+
+  const std::string apply_dir = FreshDir("failed_delta_apply");
+  {
+    auto durable = DurableLibrary::Create(apply_dir, MakeSite().store)
+                       .TakeValue();
+    for (const IngestDelta& op : ops) ASSERT_TRUE(durable->Apply(op).ok());
+    const int64_t records = durable->wal_records_committed();
+    EXPECT_TRUE(durable->Apply(bad).IsInvalidArgument());
+    EXPECT_EQ(durable->wal_records_committed(), records);
+    ExpectSameLibrary(*oracle, durable->library(), "DurableLibrary::Apply");
+  }
+  const std::string pipeline_dir = FreshDir("failed_delta_pipeline");
+  {
+    auto durable = DurableLibrary::Create(pipeline_dir, MakeSite().store)
+                       .TakeValue();
+    DurableLibrarySink sink(durable.get());
+    ExpectPipelineRejects(&sink, ops, bad);
+    ExpectSameLibrary(*oracle, durable->library(),
+                      "pipeline into DurableLibrarySink");
+  }
+  // Nothing of the failed delta reached the WAL either.
+  for (const std::string& dir : {apply_dir, pipeline_dir}) {
+    auto reopened = DurableLibrary::Open(dir).TakeValue();
+    ExpectSameLibrary(*oracle, reopened->library(), dir + " reopened");
+  }
+
+  // A live 2-shard deployment seeded with the interviews publishes the
+  // committed videos and nothing of the failed one.
+  auto site = MakeSite();
+  serving::CorpusParts seed;
+  seed.store = site.store;
+  seed.interviews.assign(site.interview_texts.begin(),
+                         site.interview_texts.end());
+  std::vector<IngestDelta> videos;
+  for (const IngestDelta& op : ops) {
+    if (op.kind == IngestDelta::Kind::kVideo) videos.push_back(op);
+  }
+  ShardedIngestSink::Options options;
+  options.num_shards = 2;
+  auto sink = ShardedIngestSink::Create(seed, options).TakeValue();
+  ExpectPipelineRejects(sink.get(), videos, bad);
+  size_t signature_records = 0;
+  for (size_t s = 0; s < sink->num_shards(); ++s) {
+    signature_records += sink->shard_library(s).signatures().num_records();
+  }
+  EXPECT_EQ(signature_records, oracle->signatures().num_records());
+  for (const CombinedQuery& query : SweepQueries()) {
+    auto expected = oracle->Search(query);
+    auto actual = sink->frontend().Search(query, 0);
+    ASSERT_EQ(expected.ok(), actual.ok());
+    if (expected.ok()) ExpectBitIdentical(*expected, *actual, "sharded");
   }
 }
 

@@ -69,7 +69,9 @@ std::unique_ptr<DigitalLibrary> BuildLibrary(webspace::SynthesizedSite* site,
   for (const auto& [oid, text] : site->interview_texts) {
     EXPECT_TRUE(library->AddInterview(oid, text).ok());
   }
-  if (finalize_text) EXPECT_TRUE(library->FinalizeText().ok());
+  if (finalize_text) {
+    EXPECT_TRUE(library->FinalizeText().ok());
+  }
   if (add_videos) {
     const char* names[] = {"net_play", "rally", "service", "smash"};
     Rng rng(4242);

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ingest_delta.h"
 #include "core/meta_index.h"
 #include "core/video_description.h"
 #include "engine/digital_library.h"
@@ -698,13 +699,13 @@ TEST(LegacySegmentTest, DurableLibraryRestoresAndCompactsItAway) {
     auto durable =
         engine::DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
     for (const auto& [oid, body] : site.interview_texts) {
-      ASSERT_TRUE(durable->AddInterview(oid, body).ok());
+      ASSERT_TRUE(durable->Apply(core::IngestDelta::Interview(oid, body)).ok());
     }
-    ASSERT_TRUE(durable->FinalizeText().ok());
+    ASSERT_TRUE(durable->Apply(core::IngestDelta::FinalizeText()).ok());
     for (int64_t oid : site.video_oids) {
       ASSERT_TRUE(durable
-                      ->AddVideoDescription(
-                          MakeVideo(oid, static_cast<uint64_t>(oid)))
+                      ->Apply(core::IngestDelta::Video(
+                          MakeVideo(oid, static_cast<uint64_t>(oid)), {}))
                       .ok());
     }
     ASSERT_TRUE(durable->Flush().ok());
@@ -757,24 +758,35 @@ TEST(LegacySegmentTest, DurableLibraryRestoresAndCompactsItAway) {
 // ---------------------------------------------------------------------------
 // WAL framing.
 
+using core::IngestDelta;
+
+/// Stages `delta` and waits for it (the serial writer surface).
+Status StageAndWait(GroupCommitWal* wal, const IngestDelta& delta) {
+  COBRA_ASSIGN_OR_RETURN(uint64_t seq, wal->Stage(delta));
+  return wal->WaitDurable(seq);
+}
+
 TEST(WalTest, RoundtripAndTornTail) {
   const std::string path = TempPath("wal_roundtrip.wal");
   {
     auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
-    ASSERT_TRUE(wal->AppendInterview(7, "net play champion").ok());
-    ASSERT_TRUE(wal->AppendVideo(MakeVideo(42, 1)).ok());
-    ASSERT_TRUE(wal->AppendFinalizeText().ok());
+    ASSERT_TRUE(
+        StageAndWait(wal.get(), IngestDelta::Interview(7, "net play champion"))
+            .ok());
+    ASSERT_TRUE(
+        StageAndWait(wal.get(), IngestDelta::Video(MakeVideo(42, 1), {})).ok());
+    ASSERT_TRUE(StageAndWait(wal.get(), IngestDelta::FinalizeText()).ok());
     ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto records = ReplayWal(path).TakeValue();
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].type, WalRecordType::kAddInterview);
+  EXPECT_EQ(records[0].kind, IngestDelta::Kind::kInterview);
   EXPECT_EQ(records[0].interview_oid, 7);
   EXPECT_EQ(records[0].interview_text, "net play champion");
-  EXPECT_EQ(records[1].type, WalRecordType::kAddVideo);
+  EXPECT_EQ(records[1].kind, IngestDelta::Kind::kVideo);
   EXPECT_EQ(records[1].video.video_id(), 42);
   EXPECT_EQ(records[1].video.Layer(core::CobraLayer::kEvent).size(), 20u);
-  EXPECT_EQ(records[2].type, WalRecordType::kFinalizeText);
+  EXPECT_EQ(records[2].kind, IngestDelta::Kind::kFinalizeText);
 
   // Truncating at every offset yields a clean prefix, never an error.
   const std::vector<uint8_t> full = ReadAll(path);
@@ -787,7 +799,7 @@ TEST(WalTest, RoundtripAndTornTail) {
     ASSERT_LE(torn->size(), 3u);
     max_records = std::max(max_records, torn->size());
     for (size_t i = 0; i < torn->size(); ++i) {
-      EXPECT_EQ((*torn)[i].type, records[i].type);
+      EXPECT_EQ((*torn)[i].kind, records[i].kind);
     }
   }
   EXPECT_EQ(max_records, 2u);  // one byte short of the last frame
@@ -806,19 +818,20 @@ TEST(WalTest, SignatureRecordsRoundtrip) {
   const std::vector<vision::SignatureRecord> records = MakeSignatures({42, 43});
   {
     auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
-    ASSERT_TRUE(wal->AppendSignatures(42, records).ok());
-    ASSERT_TRUE(wal->AppendSignatures(7, {}).ok());
+    ASSERT_TRUE(
+        StageAndWait(wal.get(), IngestDelta::Signatures(42, records)).ok());
+    ASSERT_TRUE(StageAndWait(wal.get(), IngestDelta::Signatures(7, {})).ok());
     ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto replayed = ReplayWal(path).TakeValue();
   ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(replayed[0].type, WalRecordType::kAddSignatures);
+  EXPECT_EQ(replayed[0].kind, IngestDelta::Kind::kSignatures);
   EXPECT_EQ(replayed[0].signature_video, 42);
   ASSERT_EQ(replayed[0].signatures.size(), records.size());
   EXPECT_EQ(std::memcmp(replayed[0].signatures.data(), records.data(),
                         records.size() * sizeof(vision::SignatureRecord)),
             0);
-  EXPECT_EQ(replayed[1].type, WalRecordType::kAddSignatures);
+  EXPECT_EQ(replayed[1].kind, IngestDelta::Kind::kSignatures);
   EXPECT_EQ(replayed[1].signature_video, 7);
   EXPECT_TRUE(replayed[1].signatures.empty());
 
@@ -827,6 +840,121 @@ TEST(WalTest, SignatureRecordsRoundtrip) {
   const std::string torn = TempPath("wal_signatures_torn.wal");
   ASSERT_TRUE(WriteFileAtomic(torn, full.data(), full.size() - 1).ok());
   EXPECT_EQ(ReplayWal(torn)->size(), 1u);
+}
+
+/// Appends `value`'s little-endian bytes (written out by hand, so the
+/// layout pinned below does not depend on ByteWriter).
+template <typename T>
+void PutLe(T value, std::vector<uint8_t>* out) {
+  const auto bits = static_cast<uint64_t>(value);
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+}
+
+/// One frame as the WAL lays it out on disk:
+/// [u32 len][u32 crc32(tag ‖ payload)][u8 tag][payload].
+void HandFrame(uint8_t tag, const std::vector<uint8_t>& payload,
+               std::vector<uint8_t>* out) {
+  std::vector<uint8_t> covered = {tag};
+  covered.insert(covered.end(), payload.begin(), payload.end());
+  PutLe(static_cast<uint32_t>(payload.size()), out);
+  PutLe(util::Crc32(covered.data(), covered.size()), out);
+  out->push_back(tag);
+  out->insert(out->end(), payload.begin(), payload.end());
+}
+
+std::vector<uint8_t> SignaturePayload(
+    int64_t video_id, const std::vector<vision::SignatureRecord>& records) {
+  std::vector<uint8_t> payload;
+  PutLe(video_id, &payload);
+  PutLe(static_cast<uint64_t>(records.size()), &payload);
+  const auto* raw = reinterpret_cast<const uint8_t*>(records.data());
+  payload.insert(payload.end(), raw,
+                 raw + records.size() * sizeof(vision::SignatureRecord));
+  return payload;
+}
+
+std::vector<uint8_t> EncodedVideo(const core::VideoDescription& desc) {
+  ByteWriter out;
+  EncodeVideoDescription(desc, &out);
+  return out.buffer();
+}
+
+// The on-disk frame layout, written by hand: a framing change that would
+// strand WALs already on disk fails here, which a test that writes and
+// reads through the same code cannot catch.
+TEST(WalTest, OnDiskFormatIsPinned) {
+  const std::vector<vision::SignatureRecord> all = MakeSignatures({42, 43});
+  const std::vector<vision::SignatureRecord> video_sigs(all.begin(),
+                                                        all.begin() + 2);
+  const std::vector<vision::SignatureRecord> batch(all.begin() + 4,
+                                                   all.end());
+  const core::VideoDescription video = MakeVideo(42, 1);
+  const std::string text = "net play champion";
+
+  std::vector<uint8_t> expected;
+  {
+    std::vector<uint8_t> interview;
+    PutLe(int64_t{7}, &interview);
+    PutLe(static_cast<uint32_t>(text.size()), &interview);
+    interview.insert(interview.end(), text.begin(), text.end());
+    HandFrame(1, interview, &expected);
+  }
+  HandFrame(2, {}, &expected);
+  HandFrame(3, EncodedVideo(video), &expected);
+  HandFrame(4, SignaturePayload(42, video_sigs), &expected);
+  HandFrame(4, SignaturePayload(43, batch), &expected);
+
+  // Hand-made bytes replay as the matching deltas.
+  const std::string hand_path = TempPath("wal_pinned_hand.wal");
+  ASSERT_TRUE(
+      WriteFileAtomic(hand_path, expected.data(), expected.size()).ok());
+  auto replayed = ReplayWal(hand_path).TakeValue();
+  ASSERT_EQ(replayed.size(), 5u);
+  EXPECT_EQ(replayed[0].kind, IngestDelta::Kind::kInterview);
+  EXPECT_EQ(replayed[0].interview_oid, 7);
+  EXPECT_EQ(replayed[0].interview_text, text);
+  EXPECT_EQ(replayed[1].kind, IngestDelta::Kind::kFinalizeText);
+  EXPECT_EQ(replayed[2].kind, IngestDelta::Kind::kVideo);
+  EXPECT_EQ(EncodedVideo(replayed[2].video), EncodedVideo(video));
+  EXPECT_TRUE(replayed[2].signatures.empty());
+  const std::pair<int64_t, const std::vector<vision::SignatureRecord>*>
+      batches[] = {{42, &video_sigs}, {43, &batch}};
+  for (size_t b = 0; b < 2; ++b) {
+    const IngestDelta& delta = replayed[3 + b];
+    EXPECT_EQ(delta.kind, IngestDelta::Kind::kSignatures);
+    EXPECT_EQ(delta.signature_video, batches[b].first);
+    const auto& want = *batches[b].second;
+    ASSERT_EQ(delta.signatures.size(), want.size());
+    EXPECT_EQ(std::memcmp(delta.signatures.data(), want.data(),
+                          want.size() * sizeof(vision::SignatureRecord)),
+              0);
+  }
+
+  // Staging the four deltas writes exactly those bytes, in every mode:
+  // the video and its two signatures are two frames, each its own record.
+  const IngestDelta deltas[] = {IngestDelta::Interview(7, text),
+                                IngestDelta::FinalizeText(),
+                                IngestDelta::Video(video, video_sigs),
+                                IngestDelta::Signatures(43, batch)};
+  for (WalMode mode : {WalMode::kSyncEachRecord, WalMode::kGroupCommit,
+                       WalMode::kBuffered}) {
+    const std::string path =
+        TempPath("wal_pinned_" + std::to_string(static_cast<int>(mode)) +
+                 ".wal");
+    auto wal = GroupCommitWal::Open(path, mode).TakeValue();
+    for (const IngestDelta& delta : deltas) {
+      ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
+    }
+    ASSERT_TRUE(wal->FlushAll().ok());
+    EXPECT_EQ(wal->records_committed(), 5);
+    if (mode == WalMode::kSyncEachRecord) {
+      EXPECT_EQ(wal->sync_calls(), 5);
+    }
+    EXPECT_EQ(ReadAll(path), expected)
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST(WalTest, VideoDescriptionCodecRoundtrip) {

@@ -71,7 +71,7 @@ CorpusParts MakeParts(int num_players = 24, int videos_per_year = 2) {
   config.seed = 2013;
   config.ensure_answer = true;
   auto site = webspace::SiteSynthesizer::Generate(config).TakeValue();
-  CorpusParts parts{std::move(site.store), {}, {}};
+  CorpusParts parts{std::move(site.store), {}, {}, {}};
   for (const auto& [oid, body] : site.interview_texts) {
     parts.interviews.emplace_back(oid, body);
   }

@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ingest_delta.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
 #include "engine/query_language.h"
@@ -587,17 +588,20 @@ TEST(SimilarDurableTest, SignaturesSurviveFlushAndWalReplay) {
     auto durable =
         DurableLibrary::Create(dir, std::move(site.store)).TakeValue();
     for (const auto& desc : fixture.parts.videos) {
-      ASSERT_TRUE(durable->AddVideoDescription(desc).ok());
+      ASSERT_TRUE(durable->Apply(core::IngestDelta::Video(desc, {})).ok());
     }
     // All but the last batch land before the flush (the segment path)...
     for (size_t i = 0; i + 1 < fixture.parts.signatures.size(); ++i) {
       const auto& [oid, records] = fixture.parts.signatures[i];
-      ASSERT_TRUE(durable->AddVideoSignatures(oid, records).ok());
+      ASSERT_TRUE(
+          durable->Apply(core::IngestDelta::Signatures(oid, records)).ok());
     }
     ASSERT_TRUE(durable->Flush().ok());
     // ... and the last one stays WAL-only.
-    ASSERT_TRUE(
-        durable->AddVideoSignatures(last_batch.first, last_batch.second).ok());
+    ASSERT_TRUE(durable
+                    ->Apply(core::IngestDelta::Signatures(last_batch.first,
+                                                          last_batch.second))
+                    .ok());
     flushed_answers = snapshot(durable->library());
   }
   {
