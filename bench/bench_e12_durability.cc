@@ -2,15 +2,19 @@
 /// E12 — durable segment storage (DESIGN.md §4h). Four sections:
 ///   a) cold start at COBRA_E12_DOCS interview documents (default 100k):
 ///      in-memory rebuild vs mmap segment open (full verify and no-verify)
-///      vs heap-copy open — the headline is mmap_speedup_vs_rebuild;
-///   b) ingest throughput: WAL fdatasync-per-record vs buffered WAL vs the
-///      never-persisted in-memory library;
-///   c) query latency p50/p99 on the mmap-backed vs heap-backed restored
-///      index, plus a bit-identity sweep against the rebuilt library;
-///   d) background compaction: merge cost and queries during the merge.
-/// Results mirror to BENCH_E12.json (one JSON object per line). Artifacts
-/// (segment directories) live under the working directory — CI runs this
-/// from build/, so nothing lands in the source tree.
+///      — the headline is mmap_speedup_vs_rebuild — plus a bit-identity
+///      sweep of the restored index against the rebuilt one;
+///   b) ingest throughput: one Apply (one fdatasync) per record vs every
+///      record staged behind one group commit vs the never-persisted
+///      in-memory library;
+///   c) query latency p50/p99 on the mmap-backed restored index vs the
+///      heap-backed index E12a rebuilt in memory;
+///   d) background compaction: merge cost, queries during the merge, and
+///      a bit-identity sweep after reopening the compacted library.
+/// Exits nonzero when either bit-identity sweep fails. Results mirror to
+/// BENCH_E12.json (one JSON object per line). Artifacts (segment
+/// directories) live under the working directory — CI runs this from
+/// build/, so nothing lands in the source tree.
 
 #include <cstdint>
 #include <cstdlib>
@@ -118,11 +122,13 @@ bool BitIdenticalSearches(const text::InvertedIndex& a,
 }
 
 // ---------------------------------------------------------------------------
-// E12a — cold start: rebuild vs mmap open vs heap open.
+// E12a — cold start: rebuild vs mmap open.
 
-void RunColdStart(const int64_t num_docs,
-                  const std::vector<std::string>& vocabulary,
-                  const std::vector<std::string>& queries) {
+/// Returns the rebuilt library (E12c's heap-backed arm); sets `identical`
+/// to whether the restored index answers every query like it.
+std::unique_ptr<engine::DigitalLibrary> RunColdStart(
+    const int64_t num_docs, const std::vector<std::string>& vocabulary,
+    const std::vector<std::string>& queries, bool* identical) {
   bench::PrintHeader("E12a", "cold start: rebuild vs mmap segment open");
 
   // Persist once: a durable library whose text index holds the corpus.
@@ -186,18 +192,15 @@ void RunColdStart(const int64_t num_docs,
   engine::DurableLibrary::Options mmap_options;
   engine::DurableLibrary::Options noverify_options;
   noverify_options.verify = seg::SegmentReader::Verify::kNone;
-  engine::DurableLibrary::Options heap_options;
-  heap_options.copy_text = true;
   const double mmap_ms = time_open(mmap_options);
   const double noverify_ms = time_open(noverify_options);
-  const double heap_ms = time_open(heap_options);
 
   // First-query cost after a cold mmap open (pages fault in lazily).
   auto durable = engine::DurableLibrary::Open(dir, mmap_options).TakeValue();
   bench::WallTimer first_query;
   (void)durable->library().interviews().SearchTopN(queries.front(), 10);
   const double first_query_ms = first_query.Millis();
-  const bool identical = BitIdenticalSearches(
+  *identical = BitIdenticalSearches(
       rebuilt->interviews(), durable->library().interviews(), queries);
 
   std::printf("docs %lld, segment bytes %lld\n",
@@ -205,27 +208,26 @@ void RunColdStart(const int64_t num_docs,
   std::printf("%-28s %10.1f ms\n", "in-memory rebuild", rebuild_ms);
   std::printf("%-28s %10.1f ms\n", "mmap open (full verify)", mmap_ms);
   std::printf("%-28s %10.1f ms\n", "mmap open (no verify)", noverify_ms);
-  std::printf("%-28s %10.1f ms\n", "heap-copy open", heap_ms);
   std::printf("%-28s %10.2f x\n", "mmap speedup vs rebuild",
               rebuild_ms / mmap_ms);
   std::printf("%-28s %10.2f ms (bit-identical: %s)\n", "first query",
-              first_query_ms, identical ? "yes" : "NO");
+              first_query_ms, *identical ? "yes" : "NO");
 
   bench::PrintJsonMetric(kBench, "docs", static_cast<double>(num_docs));
   bench::PrintJsonMetric(kBench, "segment_bytes", static_cast<double>(bytes));
   bench::PrintJsonMetric(kBench, "rebuild_ms", rebuild_ms);
   bench::PrintJsonMetric(kBench, "mmap_open_ms", mmap_ms);
   bench::PrintJsonMetric(kBench, "mmap_open_noverify_ms", noverify_ms);
-  bench::PrintJsonMetric(kBench, "heap_open_ms", heap_ms);
   bench::PrintJsonMetric(kBench, "mmap_speedup_vs_rebuild",
                          rebuild_ms / mmap_ms);
   bench::PrintJsonMetric(kBench, "first_query_ms", first_query_ms);
   bench::PrintJsonMetric(kBench, "coldstart_bit_identical",
-                         identical ? 1.0 : 0.0);
+                         *identical ? 1.0 : 0.0);
+  return rebuilt;
 }
 
 // ---------------------------------------------------------------------------
-// E12b — ingest throughput: WAL sync on / off vs in-memory.
+// E12b — ingest throughput: a WAL sync per record vs one group vs in-memory.
 
 void RunIngest(const std::vector<std::string>& vocabulary) {
   bench::PrintHeader("E12b", "ingest throughput (docs/s)");
@@ -246,24 +248,29 @@ void RunIngest(const std::vector<std::string>& vocabulary) {
   };
   const std::vector<std::string> bodies = make_bodies();
 
-  auto run_durable = [&](bool wal_sync) {
-    engine::DurableLibrary::Options options;
-    options.wal_mode = wal_sync
-                           ? storage::segment::WalMode::kSyncEachRecord
-                           : storage::segment::WalMode::kBuffered;
+  // Per record: Apply waits for each record's own fdatasync. Staged: every
+  // record is staged first and one WaitDurable syncs them as one group.
+  auto run_durable = [&](bool per_record) {
     const std::string dir =
-        FreshDir(wal_sync ? "e12_ingest_sync" : "e12_ingest_nosync");
-    auto durable = engine::DurableLibrary::Create(
-                       dir, std::move(MakeSite().store), options)
-                       .TakeValue();
+        FreshDir(per_record ? "e12_ingest_sync" : "e12_ingest_staged");
+    auto durable =
+        engine::DurableLibrary::Create(dir, std::move(MakeSite().store))
+            .TakeValue();
     bench::WallTimer timer;
+    engine::DurableLibrary::StageTicket last;
     for (int64_t d = 0; d < num_docs; ++d) {
-      (void)durable->Apply(IngestDelta::Interview(100000 + d, bodies[d]));
+      const IngestDelta delta = IngestDelta::Interview(100000 + d, bodies[d]);
+      if (per_record) {
+        (void)durable->Apply(delta);
+      } else {
+        last = durable->Stage(delta).TakeValue();
+      }
     }
+    (void)durable->WaitDurable(last);  // a no-op after the per-record arm
     return static_cast<double>(num_docs) / (timer.Millis() / 1e3);
   };
   const double sync_rate = run_durable(true);
-  const double nosync_rate = run_durable(false);
+  const double staged_rate = run_durable(false);
 
   auto library =
       engine::DigitalLibrary::Create(std::move(MakeSite().store)).TakeValue();
@@ -275,25 +282,21 @@ void RunIngest(const std::vector<std::string>& vocabulary) {
       static_cast<double>(num_docs) / (timer.Millis() / 1e3);
 
   std::printf("%-28s %12.0f docs/s\n", "WAL, fdatasync per record", sync_rate);
-  std::printf("%-28s %12.0f docs/s\n", "WAL, buffered", nosync_rate);
+  std::printf("%-28s %12.0f docs/s\n", "WAL, one group commit", staged_rate);
   std::printf("%-28s %12.0f docs/s\n", "in-memory (no WAL)", memory_rate);
   bench::PrintJsonMetric(kBench, "ingest_wal_sync_docs_per_s", sync_rate);
-  bench::PrintJsonMetric(kBench, "ingest_wal_nosync_docs_per_s", nosync_rate);
+  bench::PrintJsonMetric(kBench, "ingest_wal_staged_docs_per_s", staged_rate);
   bench::PrintJsonMetric(kBench, "ingest_memory_docs_per_s", memory_rate);
 }
 
 // ---------------------------------------------------------------------------
 // E12c — query latency, mmap-backed vs heap-backed.
 
-void RunQueryLatency(const std::vector<std::string>& queries) {
+void RunQueryLatency(const text::InvertedIndex& rebuilt,
+                     const std::vector<std::string>& queries) {
   bench::PrintHeader("E12c", "query p50/p99: mmap-backed vs heap-backed");
-  const std::string dir = "e12_coldstart";  // persisted by E12a
-
-  auto measure = [&](bool copy_text, double* p50, double* p99) {
-    engine::DurableLibrary::Options options;
-    options.copy_text = copy_text;
-    auto durable = engine::DurableLibrary::Open(dir, options).TakeValue();
-    const text::InvertedIndex& index = durable->library().interviews();
+  auto measure = [&](const text::InvertedIndex& index, double* p50,
+                     double* p99) {
     // Warm pass so the mmap arm's page faults don't masquerade as query
     // cost (cold-start cost is E12a's metric).
     for (const std::string& query : queries) {
@@ -311,23 +314,29 @@ void RunQueryLatency(const std::vector<std::string>& queries) {
     *p99 = bench::Percentile(times, 0.99);
   };
   double mmap_p50 = 0, mmap_p99 = 0, heap_p50 = 0, heap_p99 = 0;
-  measure(false, &mmap_p50, &mmap_p99);
-  measure(true, &heap_p50, &heap_p99);
+  {
+    // The segment E12a persisted, restored zero-copy.
+    auto durable = engine::DurableLibrary::Open("e12_coldstart").TakeValue();
+    measure(durable->library().interviews(), &mmap_p50, &mmap_p99);
+  }
+  measure(rebuilt, &heap_p50, &heap_p99);
 
   std::printf("%-18s p50 %8.3f ms   p99 %8.3f ms\n", "mmap-backed", mmap_p50,
               mmap_p99);
-  std::printf("%-18s p50 %8.3f ms   p99 %8.3f ms\n", "heap-backed", heap_p50,
-              heap_p99);
+  std::printf("%-18s p50 %8.3f ms   p99 %8.3f ms\n", "heap (rebuilt)",
+              heap_p50, heap_p99);
   bench::PrintJsonMetric(kBench, "query_mmap_p50_ms", mmap_p50);
   bench::PrintJsonMetric(kBench, "query_mmap_p99_ms", mmap_p99);
-  bench::PrintJsonMetric(kBench, "query_heap_p50_ms", heap_p50);
-  bench::PrintJsonMetric(kBench, "query_heap_p99_ms", heap_p99);
+  bench::PrintJsonMetric(kBench, "query_rebuilt_p50_ms", heap_p50);
+  bench::PrintJsonMetric(kBench, "query_rebuilt_p99_ms", heap_p99);
 }
 
 // ---------------------------------------------------------------------------
 // E12d — background compaction.
 
-void RunCompaction(const std::vector<std::string>& vocabulary,
+/// Returns whether the reopened compacted library answers every query
+/// like the live one.
+bool RunCompaction(const std::vector<std::string>& vocabulary,
                    const std::vector<std::string>& queries) {
   bench::PrintHeader("E12d", "background merge/compaction");
   const std::string dir = FreshDir("e12_compact");
@@ -379,6 +388,7 @@ void RunCompaction(const std::vector<std::string>& vocabulary,
   bench::PrintJsonMetric(kBench, "compaction_ms", compact_ms);
   bench::PrintJsonMetric(kBench, "compaction_bit_identical",
                          identical ? 1.0 : 0.0);
+  return identical;
 }
 
 }  // namespace
@@ -388,9 +398,11 @@ int main() {
   const int64_t num_docs = DocCount();
   const std::vector<std::string> vocabulary = MakeVocabulary();
   const std::vector<std::string> queries = QuerySet(vocabulary);
-  RunColdStart(num_docs, vocabulary, queries);
+  bool coldstart_identical = false;
+  const std::unique_ptr<cobra::engine::DigitalLibrary> rebuilt =
+      RunColdStart(num_docs, vocabulary, queries, &coldstart_identical);
   RunIngest(vocabulary);
-  RunQueryLatency(queries);
-  RunCompaction(vocabulary, queries);
-  return 0;
+  RunQueryLatency(rebuilt->interviews(), queries);
+  const bool compaction_identical = RunCompaction(vocabulary, queries);
+  return coldstart_identical && compaction_identical ? 0 : 1;
 }

@@ -31,6 +31,48 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
 
+/// A segment chain read back: the readers (every restored view borrows
+/// from them) and the parts they fold into, with the webspace store and
+/// the meta-index already rebuilt from their tables.
+struct RestoredChain {
+  std::vector<std::unique_ptr<seg::SegmentReader>> readers;
+  seg::RestoredParts parts;
+  webspace::WebspaceStore store;
+  core::MetaIndex meta;
+};
+
+/// Opens segments `names` of `dir` under `verify` and restores them — the
+/// read side Open and Compact share.
+Result<RestoredChain> RestoreChain(const std::string& dir,
+                                   const std::vector<std::string>& names,
+                                   seg::SegmentReader::Verify verify) {
+  std::vector<std::unique_ptr<seg::SegmentReader>> readers;
+  std::vector<const seg::SegmentReader*> reader_ptrs;
+  readers.reserve(names.size());
+  for (const std::string& name : names) {
+    COBRA_ASSIGN_OR_RETURN(
+        std::unique_ptr<seg::SegmentReader> reader,
+        seg::SegmentReader::Open(JoinPath(dir, name), verify));
+    reader_ptrs.push_back(reader.get());
+    readers.push_back(std::move(reader));
+  }
+  COBRA_ASSIGN_OR_RETURN(seg::RestoredParts parts,
+                         seg::RestoreFromSegments(reader_ptrs));
+  COBRA_ASSIGN_OR_RETURN(
+      webspace::WebspaceStore store,
+      webspace::WebspaceStore::Restore(parts.schema,
+                                       std::move(parts.class_tables),
+                                       std::move(parts.assoc_tables)));
+  COBRA_ASSIGN_OR_RETURN(
+      core::MetaIndex meta,
+      core::MetaIndex::FromTables(
+          std::move(parts.shots), std::move(parts.objects),
+          std::move(parts.events),
+          static_cast<int64_t>(parts.indexed_videos.size())));
+  return RestoredChain{std::move(readers), std::move(parts), std::move(store),
+                       std::move(meta)};
+}
+
 }  // namespace
 
 Result<DurableLibrary::Manifest> DurableLibrary::ReadManifest(
@@ -113,17 +155,15 @@ Status DurableLibrary::FlushLocked() {
       BuildDeltaLocked(include_text ? &interviews : nullptr);
 
   const std::string seg_name = SegmentFileName(manifest_.next_file_number++);
-  COBRA_RETURN_NOT_OK(
-      seg::WriteSegment(delta, JoinPath(dir_, seg_name), options_.flush_pool));
+  COBRA_RETURN_NOT_OK(seg::WriteSegment(delta, JoinPath(dir_, seg_name)));
   COBRA_ASSIGN_OR_RETURN(
       std::unique_ptr<seg::SegmentReader> reader,
       seg::SegmentReader::Open(JoinPath(dir_, seg_name), options_.verify));
 
   const std::string old_wal = manifest_.wal;
   const std::string wal_name = WalFileName(manifest_.next_file_number++);
-  COBRA_ASSIGN_OR_RETURN(
-      std::shared_ptr<seg::GroupCommitWal> wal,
-      seg::GroupCommitWal::Open(JoinPath(dir_, wal_name), options_.wal_mode));
+  COBRA_ASSIGN_OR_RETURN(std::shared_ptr<seg::GroupCommitWal> wal,
+                         seg::GroupCommitWal::Open(JoinPath(dir_, wal_name)));
 
   manifest_.segments.push_back(seg_name);
   manifest_.wal = wal_name;
@@ -171,13 +211,37 @@ Status DurableLibrary::SetWatermarksLocked() {
 Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
     const std::string& dir, webspace::WebspaceStore store,
     const Options& options) {
+  COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DigitalLibrary> library,
+                         DigitalLibrary::Create(std::move(store)));
+  return Create(dir, std::move(library), options);
+}
+
+Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
+    const std::string& dir, std::unique_ptr<DigitalLibrary> library,
+    const Options& options) {
+  if (library == nullptr) return Status::InvalidArgument("null library");
+  const text::InvertedIndex& interviews = library->interviews();
+  if (!interviews.finalized() && interviews.num_documents() > 0) {
+    return Status::FailedPrecondition(
+        "cannot persist unfinalized interviews: the library does not keep "
+        "their text");
+  }
+  // Records a restored library borrows from another chain's segments are
+  // outside every flush window (SignatureIndex::OwnedFrom).
+  size_t owned_signatures = 0;
+  for (const auto& [records, count] : library->signatures().OwnedFrom(0)) {
+    owned_signatures += count;
+  }
+  if (owned_signatures != library->signatures().num_records()) {
+    return Status::FailedPrecondition(
+        "cannot persist signature records borrowed from another segment "
+        "chain");
+  }
   COBRA_RETURN_NOT_OK(seg::CreateDir(dir));
   if (seg::FileExists(JoinPath(dir, kManifestName))) {
     return Status::AlreadyExists(
         StringFormat("'%s' already holds a durable library", dir.c_str()));
   }
-  COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DigitalLibrary> library,
-                         DigitalLibrary::Create(std::move(store)));
   std::unique_ptr<DurableLibrary> out(new DurableLibrary());
   out->dir_ = dir;
   out->options_ = options;
@@ -194,40 +258,18 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
 Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
     const std::string& dir, const Options& options) {
   COBRA_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(dir));
-
-  std::vector<std::unique_ptr<seg::SegmentReader>> readers;
-  std::vector<const seg::SegmentReader*> reader_ptrs;
-  readers.reserve(manifest.segments.size());
-  for (const std::string& name : manifest.segments) {
-    COBRA_ASSIGN_OR_RETURN(
-        std::unique_ptr<seg::SegmentReader> reader,
-        seg::SegmentReader::Open(JoinPath(dir, name), options.verify));
-    reader_ptrs.push_back(reader.get());
-    readers.push_back(std::move(reader));
-  }
-  COBRA_ASSIGN_OR_RETURN(
-      seg::RestoredParts parts,
-      seg::RestoreFromSegments(reader_ptrs, options.copy_text));
-
-  COBRA_ASSIGN_OR_RETURN(
-      webspace::WebspaceStore store,
-      webspace::WebspaceStore::Restore(parts.schema,
-                                       std::move(parts.class_tables),
-                                       std::move(parts.assoc_tables)));
-  COBRA_ASSIGN_OR_RETURN(
-      core::MetaIndex meta,
-      core::MetaIndex::FromTables(
-          std::move(parts.shots), std::move(parts.objects),
-          std::move(parts.events),
-          static_cast<int64_t>(parts.indexed_videos.size())));
+  COBRA_ASSIGN_OR_RETURN(RestoredChain restored,
+                         RestoreChain(dir, manifest.segments, options.verify));
+  seg::RestoredParts& parts = restored.parts;
   const bool have_text = parts.text.has_value();
   text::InvertedIndex text =
       have_text ? std::move(*parts.text) : text::InvertedIndex();
   COBRA_ASSIGN_OR_RETURN(
       std::unique_ptr<DigitalLibrary> library,
-      DigitalLibrary::CreateFromParts(std::move(store), std::move(text),
-                                      std::move(meta), parts.indexed_videos,
-                                      parts.index_epoch,
+      DigitalLibrary::CreateFromParts(std::move(restored.store),
+                                      std::move(text),
+                                      std::move(restored.meta),
+                                      parts.indexed_videos, parts.index_epoch,
                                       std::move(parts.signature_chunks)));
   if (!have_text) {
     // Persisted but not yet finalized interviews: re-add so a later
@@ -242,7 +284,7 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
   out->options_ = options;
   out->library_ = std::move(library);
   out->manifest_ = std::move(manifest);
-  out->readers_ = std::move(readers);
+  out->readers_ = std::move(restored.readers);
   out->text_persisted_ = have_text;
 
   // Watermarks = persisted state, before any WAL replay mutates the
@@ -280,8 +322,8 @@ Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Open(
   } else {
     // Nothing replayed: restart the (empty or torn-garbage-only) log.
     COBRA_ASSIGN_OR_RETURN(
-        out->wal_, seg::GroupCommitWal::Open(JoinPath(dir, out->manifest_.wal),
-                                             options.wal_mode));
+        out->wal_,
+        seg::GroupCommitWal::Open(JoinPath(dir, out->manifest_.wal)));
   }
   return out;
 }
@@ -330,40 +372,23 @@ Status DurableLibrary::Compact() {
 
   // Merge from the immutable files, never the live library — queries and
   // even a concurrent Flush stay untouched until the publish below.
-  std::vector<std::unique_ptr<seg::SegmentReader>> inputs;
-  std::vector<const seg::SegmentReader*> input_ptrs;
-  for (const std::string& name : names) {
-    COBRA_ASSIGN_OR_RETURN(
-        std::unique_ptr<seg::SegmentReader> reader,
-        seg::SegmentReader::Open(JoinPath(dir_, name), options_.verify));
-    input_ptrs.push_back(reader.get());
-    inputs.push_back(std::move(reader));
-  }
-  COBRA_ASSIGN_OR_RETURN(seg::RestoredParts parts,
-                         seg::RestoreFromSegments(input_ptrs, false));
-  COBRA_ASSIGN_OR_RETURN(
-      webspace::WebspaceStore store,
-      webspace::WebspaceStore::Restore(parts.schema,
-                                       std::move(parts.class_tables),
-                                       std::move(parts.assoc_tables)));
-  COBRA_ASSIGN_OR_RETURN(
-      core::MetaIndex meta,
-      core::MetaIndex::FromTables(
-          std::move(parts.shots), std::move(parts.objects),
-          std::move(parts.events),
-          static_cast<int64_t>(parts.indexed_videos.size())));
+  COBRA_ASSIGN_OR_RETURN(RestoredChain restored,
+                         RestoreChain(dir_, names, options_.verify));
+  seg::RestoredParts& parts = restored.parts;
+  const webspace::WebspaceStore& store = restored.store;
   seg::LibraryDelta delta;
   delta.index_epoch = parts.index_epoch;
   delta.store = &store;
   delta.class_from_rows.assign(store.schema().classes().size(), 0);
   delta.assoc_from_rows.assign(store.schema().associations().size(), 0);
-  delta.meta = &meta;
+  delta.meta = &restored.meta;
   delta.new_video_oids = parts.indexed_videos;
   delta.text = parts.text.has_value() ? &*parts.text : nullptr;
   if (!parts.text.has_value()) {
     delta.pending_interviews = std::move(parts.pending_interviews);
   }
-  // Chunks borrow from `inputs`, which stay alive through WriteSegment.
+  // Chunks borrow from `restored.readers`, which stay alive through
+  // WriteSegment.
   delta.signature_chunks = parts.signature_chunks;
 
   std::string seg_name;
@@ -371,8 +396,7 @@ Status DurableLibrary::Compact() {
     std::lock_guard<std::mutex> lock(manifest_mutex_);
     seg_name = SegmentFileName(manifest_.next_file_number++);
   }
-  COBRA_RETURN_NOT_OK(
-      seg::WriteSegment(delta, JoinPath(dir_, seg_name), options_.flush_pool));
+  COBRA_RETURN_NOT_OK(seg::WriteSegment(delta, JoinPath(dir_, seg_name)));
   COBRA_ASSIGN_OR_RETURN(
       std::unique_ptr<seg::SegmentReader> merged,
       seg::SegmentReader::Open(JoinPath(dir_, seg_name), options_.verify));

@@ -46,27 +46,24 @@ namespace cobra::engine {
 class DurableLibrary {
  public:
   struct Options {
-    /// How WAL appends reach stable storage. kGroupCommit (default) keeps
-    /// the durable-on-return contract of kSyncEachRecord while batching
-    /// concurrent writers into one fdatasync per group; kBuffered trades
-    /// power-loss durability for throughput — the E12/E15 benchmarks
-    /// measure all three.
-    storage::segment::WalMode wal_mode =
-        storage::segment::WalMode::kGroupCommit;
-    /// When set, Flush builds the segment's independent sections
-    /// (webspace delta, meta-index deltas, text snapshot, signatures) in
-    /// parallel on this pool. Output bytes are identical either way.
-    util::ThreadPool* flush_pool = nullptr;
-    /// Restore the text index by copying postings onto the heap instead of
-    /// viewing the mapped segment (the benchmark's control arm).
-    bool copy_text = false;
-    /// Section checksum verification on open.
+    /// Section checksum verification of every segment this library opens.
     storage::segment::SegmentReader::Verify verify =
         storage::segment::SegmentReader::Verify::kFull;
   };
 
-  /// Creates a fresh library over `store` in (empty or absent) `dir` and
-  /// persists segment 0 — the full webspace snapshot.
+  /// Persists `library` in (empty or absent) `dir` as segment 0, next to
+  /// an empty WAL — the bulk build: whatever the library already holds is
+  /// written once, never logged. FailedPrecondition, with nothing written,
+  /// when the library holds interviews it has not finalized (DigitalLibrary
+  /// does not keep their text) or signature records borrowed from another
+  /// chain's segments (a library restored by CreateFromParts).
+  static Result<std::unique_ptr<DurableLibrary>> Create(
+      const std::string& dir, std::unique_ptr<DigitalLibrary> library,
+      const Options& options);
+  static Result<std::unique_ptr<DurableLibrary>> Create(
+      const std::string& dir, std::unique_ptr<DigitalLibrary> library);
+  /// Create over an empty library on `store`: segment 0 is the full
+  /// webspace snapshot.
   static Result<std::unique_ptr<DurableLibrary>> Create(
       const std::string& dir, webspace::WebspaceStore store,
       const Options& options);
@@ -98,11 +95,12 @@ class DurableLibrary {
   /// of the mutation mutex (fast, serialized internally), and frames it
   /// only if it applied; WaitDurable() blocks until the frames are on
   /// stable storage. Overlapping many staged deltas before waiting is what
-  /// lets the WAL batch them into one group commit; a bulk build stages
-  /// everything and lets Flush() make it durable.
+  /// lets the WAL batch them into one group commit. WaitDurable fails
+  /// with FailedPrecondition on a ticket whose record was never staged.
   Result<StageTicket> Stage(const core::IngestDelta& delta);
   Status WaitDurable(const StageTicket& ticket);
-  /// Stage() + WaitDurable(): durable on return under the open WAL mode.
+  /// Stage() + WaitDurable(): durable on return, one fdatasync when no
+  /// concurrent writer shares the group.
   Status Apply(const core::IngestDelta& delta);
 
   /// Folds everything since the last flush into a new segment and starts
@@ -184,6 +182,11 @@ class DurableLibrary {
   std::mutex compact_status_mutex_;
   Status compact_status_;
 };
+
+inline Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
+    const std::string& dir, std::unique_ptr<DigitalLibrary> library) {
+  return Create(dir, std::move(library), Options());
+}
 
 inline Result<std::unique_ptr<DurableLibrary>> DurableLibrary::Create(
     const std::string& dir, webspace::WebspaceStore store) {

@@ -28,10 +28,10 @@
 ///
 /// Durability batching. The committer applies every contiguous ready
 /// result (stage-only, fast) and then issues ONE durability barrier for
-/// the batch. Against a group-commit WAL the whole sweep lands in one
+/// the batch. Against the group-commit WAL the whole sweep lands in one
 /// fdatasync — the batch accumulates while the previous group's leader
 /// syncs, which is what keeps sync-durable ingest within a small factor
-/// of buffered.
+/// of never syncing at all.
 ///
 /// Errors are sticky: the first analysis or commit failure fails every
 /// subsequent Submit*/Finish, and nothing past the failed slot commits

@@ -9,6 +9,9 @@
 namespace cobra::engine::serving {
 namespace {
 
+/// Entries of the frontend's text-seed LRU cache.
+constexpr size_t kTextSeedCacheCapacity = 128;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -244,7 +247,7 @@ ServingFrontend::TextSeed(const CombinedQuery& query, int64_t epoch,
   if (seed_index_.find(key) == seed_index_.end()) {
     seed_lru_.emplace_front(key, seed);
     seed_index_.emplace(std::move(key), seed_lru_.begin());
-    while (seed_lru_.size() > std::max<size_t>(1, config_.text_seed_cache_capacity)) {
+    while (seed_lru_.size() > kTextSeedCacheCapacity) {
       seed_index_.erase(seed_lru_.back().first);
       seed_lru_.pop_back();
     }
@@ -348,7 +351,6 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
   qs = QueryStats{};
   qs.shards_total = slots_.size();
 
-  if (deadline_ms < 0.0) deadline_ms = config_.default_deadline_ms;
   const bool has_deadline = deadline_ms > 0.0;
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -583,12 +585,6 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
 
 Status ServingFrontend::ReloadShard(size_t shard,
                                     const DigitalLibrary* library) {
-  if (shard >= slots_.size()) {
-    return Status::OutOfRange("no such shard");
-  }
-  if (library == nullptr) {
-    return Status::InvalidArgument("null shard library");
-  }
   return ReloadShardRetiring(shard, library, nullptr);
 }
 

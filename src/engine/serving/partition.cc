@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <set>
 
 #include "util/strings.h"
@@ -55,25 +54,26 @@ Result<std::unique_ptr<DigitalLibrary>> BuildLibrary(const CorpusParts& parts) {
 
 namespace {
 
-/// Replays shard `shard`'s insert sequence into `apply`, one delta at a
+/// Applies shard `shard`'s insert sequence to `library`, one delta at a
 /// time: every interview, FinalizeText (when `finalize_text`), the shard's
 /// videos, then its signature batches, each in CorpusParts order.
-Status ReplayShard(
-    const CorpusParts& parts, const ShardRouter& router, size_t shard,
-    bool finalize_text,
-    const std::function<Status(const core::IngestDelta&)>& apply) {
+Status ReplayShard(const CorpusParts& parts, const ShardRouter& router,
+                   size_t shard, bool finalize_text, DigitalLibrary* library) {
   using core::IngestDelta;
   for (const auto& [oid, text] : parts.interviews) {
-    COBRA_RETURN_NOT_OK(apply(IngestDelta::Interview(oid, text)));
+    COBRA_RETURN_NOT_OK(library->Apply(IngestDelta::Interview(oid, text)));
   }
-  if (finalize_text) COBRA_RETURN_NOT_OK(apply(IngestDelta::FinalizeText()));
+  if (finalize_text) {
+    COBRA_RETURN_NOT_OK(library->Apply(IngestDelta::FinalizeText()));
+  }
   for (const core::VideoDescription& desc : parts.videos) {
     if (router.ShardOf(desc.video_id()) != shard) continue;
-    COBRA_RETURN_NOT_OK(apply(IngestDelta::Video(desc, {})));
+    COBRA_RETURN_NOT_OK(library->Apply(IngestDelta::Video(desc, {})));
   }
   for (const auto& [video_id, records] : parts.signatures) {
     if (router.ShardOf(video_id) != shard) continue;
-    COBRA_RETURN_NOT_OK(apply(IngestDelta::Signatures(video_id, records)));
+    COBRA_RETURN_NOT_OK(
+        library->Apply(IngestDelta::Signatures(video_id, records)));
   }
   return Status::OK();
 }
@@ -91,11 +91,8 @@ Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
   for (size_t s = 0; s < num_shards; ++s) {
     COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DigitalLibrary> shard,
                            DigitalLibrary::Create(parts.store));
-    COBRA_RETURN_NOT_OK(ReplayShard(
-        parts, router, s, finalize_text,
-        [&shard](const core::IngestDelta& delta) {
-          return shard->Apply(delta);
-        }));
+    COBRA_RETURN_NOT_OK(
+        ReplayShard(parts, router, s, finalize_text, shard.get()));
     shards.push_back(std::move(shard));
   }
   return shards;
@@ -103,9 +100,8 @@ Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
 
 Result<std::vector<std::unique_ptr<DurableLibrary>>> BuildDurableShards(
     const CorpusParts& parts, size_t num_shards, const std::string& base_dir) {
-  if (num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
+  COBRA_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<DigitalLibrary>> libraries,
+                         BuildShardLibraries(parts, num_shards));
   std::error_code ec;
   std::filesystem::create_directories(base_dir, ec);
   if (ec) {
@@ -113,23 +109,14 @@ Result<std::vector<std::unique_ptr<DurableLibrary>>> BuildDurableShards(
         StringFormat("cannot create '%s': %s", base_dir.c_str(),
                      ec.message().c_str()));
   }
-  const ShardRouter router(parts.videos, num_shards);
   std::vector<std::unique_ptr<DurableLibrary>> shards;
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     const std::string dir =
         base_dir + "/" + StringFormat("shard-%04zu", s);
-    COBRA_ASSIGN_OR_RETURN(std::unique_ptr<DurableLibrary> shard,
-                           DurableLibrary::Create(dir, parts.store));
-    // Stage only: the closing Flush writes and syncs the segment and
-    // publishes the manifest, so the shard is durable on return without a
-    // WAL sync per record.
-    COBRA_RETURN_NOT_OK(ReplayShard(
-        parts, router, s, /*finalize_text=*/true,
-        [&shard](const core::IngestDelta& delta) {
-          return shard->Stage(delta).status();
-        }));
-    COBRA_RETURN_NOT_OK(shard->Flush());
+    COBRA_ASSIGN_OR_RETURN(
+        std::unique_ptr<DurableLibrary> shard,
+        DurableLibrary::Create(dir, std::move(libraries[s])));
     shards.push_back(std::move(shard));
   }
   return shards;

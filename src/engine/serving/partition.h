@@ -90,11 +90,9 @@ Result<std::unique_ptr<DigitalLibrary>> BuildLibrary(const CorpusParts& parts);
 Result<std::vector<std::unique_ptr<DigitalLibrary>>> BuildShardLibraries(
     const CorpusParts& parts, size_t num_shards, bool finalize_text = true);
 
-/// Durable variant: shard i persists under `<base_dir>/shard-NNNN` (its own
-/// segment directory, created via DurableLibrary::Create), so a shard's
-/// segments are the unit a replica loads. The same insert sequence is
-/// staged (DurableLibrary::Stage, no WAL sync), and one closing Flush
-/// makes it durable before the shard is returned.
+/// Durable variant: the BuildShardLibraries shards, each persisted by
+/// DurableLibrary::Create under `<base_dir>/shard-NNNN` (its own segment
+/// directory, the unit a replica loads) as one segment and an empty WAL.
 Result<std::vector<std::unique_ptr<DurableLibrary>>> BuildDurableShards(
     const CorpusParts& parts, size_t num_shards, const std::string& base_dir);
 

@@ -73,14 +73,9 @@ struct ServingConfig {
   /// Maximum queued (not yet running) queries per replica; a query that
   /// finds every candidate replica of some shard full is shed.
   size_t queue_depth = 64;
-  /// Default per-query deadline in milliseconds; <= 0 disables. Overridable
-  /// per call.
-  double default_deadline_ms = 0.0;
   /// Per-shard QueryEngine configuration (num_threads is forced to 1 — the
   /// replicas are the workers).
   QueryEngineConfig engine;
-  /// Frontend text-seed cache entries (LRU).
-  size_t text_seed_cache_capacity = 128;
 };
 
 /// Per-query execution record.
@@ -128,7 +123,7 @@ class ServingFrontend {
   ~ServingFrontend();
 
   /// The global top-`top_n` of `query` under SceneHitLess (top_n == 0 =
-  /// all hits). `deadline_ms` < 0 takes the config default; 0 disables.
+  /// all hits). `deadline_ms` <= 0 means no deadline.
   /// Errors: an invalid query fails before the scatter with the status
   /// DigitalLibrary::Search would return (validated once on shard 0;
   /// NotFound when no shard resolves a similar_to probe); Unavailable when
@@ -137,7 +132,7 @@ class ServingFrontend {
   Result<std::vector<SceneHit>> Search(const CombinedQuery& query,
                                        size_t top_n,
                                        QueryStats* qstats = nullptr,
-                                       double deadline_ms = -1.0);
+                                       double deadline_ms = 0.0);
 
   /// Swaps shard `shard` to `library` (e.g. a reopened durable shard) with
   /// a fresh per-shard engine + cache. Safe while queries are in flight:

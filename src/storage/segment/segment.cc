@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <limits>
 
@@ -313,8 +312,7 @@ void BuildSignatures(const LibraryDelta& delta, ByteWriter* out) {
 
 }  // namespace
 
-Status WriteSegment(const LibraryDelta& delta, const std::string& path,
-                    util::ThreadPool* pool) {
+Status WriteSegment(const LibraryDelta& delta, const std::string& path) {
   if (delta.store == nullptr || delta.meta == nullptr) {
     return Status::InvalidArgument("segment delta lacks store or meta-index");
   }
@@ -327,74 +325,38 @@ Status WriteSegment(const LibraryDelta& delta, const std::string& path,
     return Status::InvalidArgument("text snapshots require a finalized index");
   }
 
-  // The sections are independent serializations of disjoint state, so
-  // each becomes one task; section *order* (and so the file bytes) is
-  // fixed by this list, not by completion order.
+  // Section order (and so the file bytes) is the order of this list.
   struct SectionBuild {
     SectionId id;
-    std::function<Status(ByteWriter*)> build;
     ByteWriter out;
-    Status status;
   };
   std::vector<SectionBuild> sections;
-  auto add = [&sections](SectionId id,
-                         std::function<Status(ByteWriter*)> build) {
-    sections.push_back(SectionBuild{id, std::move(build), {}, Status::OK()});
+  auto add = [&sections](SectionId id) {
+    sections.push_back(SectionBuild{id, {}});
+    return &sections.back().out;
   };
-  add(SectionId::kLibraryMeta, [&delta](ByteWriter* w) {
-    BuildLibraryMeta(delta, w);
-    return Status::OK();
-  });
-  add(SectionId::kWebspace,
-      [&delta](ByteWriter* w) { return BuildWebspace(delta, w); });
-  add(SectionId::kShotsDelta, [&delta](ByteWriter* w) {
-    return TableSerde::WriteDelta(delta.meta->shots(), delta.shots_from_row,
-                                  w);
-  });
-  add(SectionId::kObjectsDelta, [&delta](ByteWriter* w) {
-    return TableSerde::WriteDelta(delta.meta->objects(),
-                                  delta.objects_from_row, w);
-  });
-  add(SectionId::kEventsDelta, [&delta](ByteWriter* w) {
-    return TableSerde::WriteDelta(delta.meta->events(), delta.events_from_row,
-                                  w);
-  });
+  BuildLibraryMeta(delta, add(SectionId::kLibraryMeta));
+  COBRA_RETURN_NOT_OK(BuildWebspace(delta, add(SectionId::kWebspace)));
+  COBRA_RETURN_NOT_OK(TableSerde::WriteDelta(
+      delta.meta->shots(), delta.shots_from_row, add(SectionId::kShotsDelta)));
+  COBRA_RETURN_NOT_OK(TableSerde::WriteDelta(delta.meta->objects(),
+                                             delta.objects_from_row,
+                                             add(SectionId::kObjectsDelta)));
+  COBRA_RETURN_NOT_OK(TableSerde::WriteDelta(delta.meta->events(),
+                                             delta.events_from_row,
+                                             add(SectionId::kEventsDelta)));
   if (delta.text != nullptr) {
-    add(SectionId::kTextIndex,
-        [&delta](ByteWriter* w) { return BuildTextIndex(*delta.text, w); });
+    COBRA_RETURN_NOT_OK(
+        BuildTextIndex(*delta.text, add(SectionId::kTextIndex)));
   }
   if (!delta.pending_interviews.empty()) {
-    add(SectionId::kPendingInterviews, [&delta](ByteWriter* w) {
-      BuildPending(delta, w);
-      return Status::OK();
-    });
+    BuildPending(delta, add(SectionId::kPendingInterviews));
   }
-  {
-    bool any = false;
-    for (const auto& [records, count] : delta.signature_chunks) {
-      any = any || count > 0;
+  for (const auto& [records, count] : delta.signature_chunks) {
+    if (count > 0) {
+      BuildSignatures(delta, add(SectionId::kSignatures));
+      break;
     }
-    if (any) {
-      add(SectionId::kSignatures, [&delta](ByteWriter* w) {
-        BuildSignatures(delta, w);
-        return Status::OK();
-      });
-    }
-  }
-
-  if (pool != nullptr && sections.size() > 1) {
-    util::TaskGroup group(pool);
-    for (SectionBuild& section : sections) {
-      group.Run([&section] { section.status = section.build(&section.out); });
-    }
-    group.Wait();
-  } else {
-    for (SectionBuild& section : sections) {
-      section.status = section.build(&section.out);
-    }
-  }
-  for (const SectionBuild& section : sections) {
-    COBRA_RETURN_NOT_OK(section.status);
   }
 
   // Assemble: header, section table, page-aligned payloads.
@@ -609,7 +571,7 @@ Status SegmentReader::ApplyMeta(Table* shots, Table* objects,
   return Status::OK();
 }
 
-Result<InvertedIndex> SegmentReader::LoadTextIndex(bool copy) const {
+Result<InvertedIndex> SegmentReader::LoadTextIndex() const {
   COBRA_ASSIGN_OR_RETURN(ByteReader in, Section(SectionId::kTextIndex));
   uint64_t num_docs = 0;
   if (!in.GetU64(&num_docs) ||
@@ -666,7 +628,7 @@ Result<InvertedIndex> SegmentReader::LoadTextIndex(bool copy) const {
     p += counts[t].first;
     b += counts[t].second;
   }
-  return InvertedIndex::FromTerms(std::move(terms), std::move(norms), copy);
+  return InvertedIndex::FromTerms(std::move(terms), std::move(norms));
 }
 
 Result<std::vector<std::pair<int64_t, std::string>>>
@@ -749,7 +711,7 @@ Status CreateMetaTables(Table* shots, Table* objects, Table* events) {
 }
 
 Result<RestoredParts> RestoreFromSegments(
-    const std::vector<const SegmentReader*>& segments, bool copy_text) {
+    const std::vector<const SegmentReader*>& segments) {
   if (segments.empty()) {
     return Status::InvalidArgument("restore requires at least one segment");
   }
@@ -785,7 +747,7 @@ Result<RestoredParts> RestoreFromSegments(
   }
   if (text_segment != nullptr) {
     COBRA_ASSIGN_OR_RETURN(InvertedIndex text,
-                           text_segment->LoadTextIndex(copy_text));
+                           text_segment->LoadTextIndex());
     parts.text = std::move(text);
   }
   parts.schema = std::move(schema.value());

@@ -11,8 +11,7 @@
 /// The finalized text index is persisted losslessly (exact doubles, raw
 /// Posting[]/BlockMeta[] arrays) so a restored library answers queries
 /// bit-identically to the one that wrote it; the reader points the
-/// restored index's spans straight into the memory mapping (zero-copy) or
-/// materializes owned copies (heap mode, the benchmark's control).
+/// restored index's spans straight into the memory mapping (zero-copy).
 ///
 /// Layering: this library sits above storage/text/webspace/core and below
 /// the engine — the engine's DurableLibrary assembles LibraryDelta from a
@@ -31,7 +30,6 @@
 #include "storage/segment/io.h"
 #include "storage/table.h"
 #include "text/inverted_index.h"
-#include "util/thread_pool.h"
 #include "vision/signature.h"
 #include "webspace/schema.h"
 #include "webspace/store.h"
@@ -82,13 +80,8 @@ struct LibraryDelta {
       signature_chunks;
 };
 
-/// Serializes `delta` into a segment file at `path` (atomic write). With a
-/// pool, the independent section payloads (webspace delta, meta-index
-/// deltas, text snapshot, signatures) are built concurrently; the output
-/// bytes are identical either way — sections land in a fixed order and
-/// each build writes only its own buffer.
-Status WriteSegment(const LibraryDelta& delta, const std::string& path,
-                    util::ThreadPool* pool = nullptr);
+/// Serializes `delta` into a segment file at `path` (atomic write).
+Status WriteSegment(const LibraryDelta& delta, const std::string& path);
 
 /// An opened, validated segment. Owns the memory mapping; every view the
 /// reader hands out (restored text spans, signature records) borrows from
@@ -121,10 +114,10 @@ class SegmentReader {
   /// (created empty via CreateMetaTables()).
   Status ApplyMeta(Table* shots, Table* objects, Table* events) const;
 
-  /// Restores the finalized text index from the kTextIndex snapshot.
-  /// With copy=false the postings/blocks spans point into this reader's
-  /// mapping (the reader must outlive the index and every copy of it).
-  Result<text::InvertedIndex> LoadTextIndex(bool copy) const;
+  /// Restores the finalized text index from the kTextIndex snapshot. The
+  /// postings/blocks spans point into this reader's mapping (the reader
+  /// must outlive the index and every copy of it).
+  Result<text::InvertedIndex> LoadTextIndex() const;
 
   /// Decoded kPendingInterviews (empty when the section is absent).
   Result<std::vector<std::pair<int64_t, std::string>>> PendingInterviews()
@@ -162,22 +155,22 @@ struct RestoredParts {
   std::vector<int64_t> indexed_videos;
   int64_t index_epoch = 0;
   /// Set when some segment carried a finalized text snapshot; its spans
-  /// borrow from that segment's reader unless copy_text was true.
+  /// borrow from that segment's reader.
   std::optional<text::InvertedIndex> text;
   /// Un-finalized interviews to replay, in add order (only populated when
   /// `text` is absent — a snapshot already contains every interview).
   std::vector<std::pair<int64_t, std::string>> pending_interviews;
   /// One zero-copy signature chunk per segment that carried a kSignatures
-  /// section, in chain order. The chunks borrow from the readers
-  /// regardless of copy_text — the readers must outlive the library.
+  /// section, in chain order. The chunks borrow from the readers — the
+  /// readers must outlive the library.
   std::vector<std::pair<const vision::SignatureRecord*, size_t>>
       signature_chunks;
 };
 
-/// Folds a manifest-ordered segment chain into library parts. With
-/// copy_text=false the text index borrows from the reader that carried the
-/// snapshot — that reader must outlive the restored library.
+/// Folds a manifest-ordered segment chain into library parts. The text
+/// index borrows from the reader that carried the snapshot — that reader
+/// must outlive the restored library.
 Result<RestoredParts> RestoreFromSegments(
-    const std::vector<const SegmentReader*>& segments, bool copy_text);
+    const std::vector<const SegmentReader*>& segments);
 
 }  // namespace cobra::storage::segment

@@ -71,44 +71,30 @@ std::vector<ByteWriter> FrameDelta(const IngestDelta& delta) {
 }  // namespace
 
 Result<std::unique_ptr<GroupCommitWal>> GroupCommitWal::Open(
-    const std::string& path, WalMode mode) {
+    const std::string& path) {
   std::unique_ptr<GroupCommitWal> out(new GroupCommitWal());
   COBRA_ASSIGN_OR_RETURN(out->file_, AppendFile::Open(path));
-  out->mode_ = mode;
   return out;
 }
 
 Result<uint64_t> GroupCommitWal::Stage(const IngestDelta& delta) {
   const std::vector<ByteWriter> frames = FrameDelta(delta);
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (!io_error_.ok()) return io_error_;
   for (const ByteWriter& frame : frames) {
-    const uint64_t seq = ++staged_seq_;
-    if (mode_ == WalMode::kGroupCommit) {
-      staged_.insert(staged_.end(), frame.buffer().begin(),
-                     frame.buffer().end());
-      continue;
-    }
-    // Sync-each and buffered modes write through immediately, one frame
-    // at a time; staging order and file order coincide because the lock
-    // is held across the write.
-    Status status = file_.Append(frame.buffer().data(), frame.size());
-    if (status.ok() && mode_ == WalMode::kSyncEachRecord) {
-      status = file_.Sync();
-      ++sync_calls_;
-    }
-    if (!status.ok()) {
-      io_error_ = status;
-      return status;
-    }
-    durable_seq_ = seq;
-    durable_bytes_ = file_.bytes_appended();
+    staged_.insert(staged_.end(), frame.buffer().begin(),
+                   frame.buffer().end());
+    ++staged_seq_;
   }
   return staged_seq_;
 }
 
-Status GroupCommitWal::CommitLocked(std::unique_lock<std::mutex>& lock,
-                                    uint64_t seq) {
+Status GroupCommitWal::WaitDurable(uint64_t seq) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // No leader could ever cover a record that was never staged.
+  if (seq > staged_seq_) {
+    return Status::FailedPrecondition("WaitDurable on an unstaged record");
+  }
   while (durable_seq_ < seq) {
     if (!io_error_.ok()) return io_error_;
     if (leader_active_) {
@@ -142,35 +128,6 @@ Status GroupCommitWal::CommitLocked(std::unique_lock<std::mutex>& lock,
     group_cv_.notify_all();
   }
   return io_error_;
-}
-
-Status GroupCommitWal::WaitDurable(uint64_t seq) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (mode_ != WalMode::kGroupCommit) {
-    // Write-through modes are durable (per their contract) at Stage time.
-    return durable_seq_ >= seq ? io_error_
-                               : Status::FailedPrecondition(
-                                     "WaitDurable on an unstaged record");
-  }
-  return CommitLocked(lock, seq);
-}
-
-Status GroupCommitWal::FlushAll() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (mode_ == WalMode::kGroupCommit) {
-    COBRA_RETURN_NOT_OK(CommitLocked(lock, staged_seq_));
-  }
-  if (!io_error_.ok()) return io_error_;
-  if (mode_ == WalMode::kBuffered) {
-    Status status = file_.Sync();
-    ++sync_calls_;
-    if (!status.ok()) {
-      io_error_ = status;
-      return status;
-    }
-    durable_bytes_ = file_.bytes_appended();
-  }
-  return Status::OK();
 }
 
 int64_t GroupCommitWal::durable_bytes() {

@@ -41,62 +41,40 @@ enum class WalRecordType : uint8_t {
   kAddSignatures = 4,  ///< i64 video_id, u64 count, SignatureRecord[count]
 };
 
-/// How WAL appends reach stable storage (DESIGN.md §4k).
-enum class WalMode : uint8_t {
-  /// fdatasync after every record, serialized — the E12/E15 durability
-  /// baseline. Durable on return.
-  kSyncEachRecord,
-  /// RocksDB-style group commit: writers stage framed records under the
-  /// log mutex and one of them becomes the leader, writing the whole
-  /// staged batch with a single write + fdatasync; the others wait on the
-  /// group's completion. Durable on return (WaitDurable), one fdatasync
-  /// per *group* instead of per record.
-  kGroupCommit,
-  /// Records are written to the file immediately but never synced; they
-  /// survive a process crash, not power loss, until the next segment
-  /// flush. The throughput ceiling the group-commit mode is measured
-  /// against.
-  kBuffered,
-};
-
-/// The write-ahead log writer, with group commit. Any number of threads
-/// may stage deltas concurrently; each record lands in the file as one
-/// frame of the layout in the file comment, which ReplayWal reads back.
+/// The write-ahead log writer, with group commit (DESIGN.md §4k). Any
+/// number of threads may stage deltas concurrently; each record lands in
+/// the file as one frame of the layout in the file comment, which
+/// ReplayWal reads back.
 ///
 /// The two-phase surface is what lets callers overlap durability waits:
 ///   seq = Stage(delta)    // frames + orders the delta; returns at once
 ///   WaitDurable(seq)      // blocks until the delta is on stable storage
 /// Stage order IS file order (staging appends to the shared group buffer
 /// under the log mutex), so callers that need replay order to match an
-/// in-memory apply order stage under the same lock that applies.
+/// in-memory apply order stage under the same lock that applies. A waiter
+/// finding no leader becomes one: it writes everything staged so far as
+/// one batch with a single write + fdatasync, and every record in that
+/// batch is durable when it returns. One Stage + WaitDurable per record
+/// is therefore one fdatasync per record.
 ///
 /// Error handling is sticky: once an append or sync fails, the error is
 /// returned from every subsequent Stage/WaitDurable — a WAL that lost a
 /// write cannot accept acknowledged records behind the hole.
 class GroupCommitWal {
  public:
-  static Result<std::unique_ptr<GroupCommitWal>> Open(const std::string& path,
-                                                      WalMode mode);
+  static Result<std::unique_ptr<GroupCommitWal>> Open(const std::string& path);
 
   /// Stages the frames of one delta; returns the sequence number of its
   /// last frame (sequence numbers count frames, 1-based).
   Result<uint64_t> Stage(const core::IngestDelta& delta);
 
-  /// Blocks until record `seq` is durable under the open mode: synced
-  /// (kSyncEachRecord, kGroupCommit) or written (kBuffered). The calling
-  /// thread may be elected group leader and perform the batched
-  /// write + fdatasync itself.
+  /// Blocks until record `seq` is synced. The calling thread may be
+  /// elected group leader and perform the batched write + fdatasync
+  /// itself. FailedPrecondition when `seq` was never staged.
   Status WaitDurable(uint64_t seq);
 
-  /// Drains the staging buffer and syncs the file (all modes). After
-  /// FlushAll returns OK every staged record is durable — the pre-rotation
-  /// barrier Flush() uses.
-  Status FlushAll();
-
-  WalMode mode() const { return mode_; }
-  /// Bytes known durable (synced in sync/group modes, written in buffered
-  /// mode) — the crash-test truncation watermark: a file truncated at or
-  /// past this offset replays every acknowledged record.
+  /// Bytes known synced — the crash-test truncation watermark: a file
+  /// truncated at or past this offset replays every acknowledged record.
   int64_t durable_bytes();
   /// fdatasync calls and records committed so far (group-size telemetry).
   int64_t sync_calls();
@@ -105,12 +83,7 @@ class GroupCommitWal {
  private:
   GroupCommitWal() = default;
 
-  /// With `lock` held: writes + syncs the staged batch as leader, or waits
-  /// for a leader to cover `seq`. Returns when durable_seq_ >= seq.
-  Status CommitLocked(std::unique_lock<std::mutex>& lock, uint64_t seq);
-
   AppendFile file_;
-  WalMode mode_ = WalMode::kGroupCommit;
 
   std::mutex mutex_;
   std::condition_variable group_cv_;

@@ -150,7 +150,7 @@ Result<std::vector<InvertedIndex::TermRange>> InvertedIndex::TermRanges()
 
 Result<InvertedIndex> InvertedIndex::FromTerms(
     std::vector<RestoredTerm> terms,
-    std::vector<std::pair<int64_t, double>> doc_norms, bool copy) {
+    std::vector<std::pair<int64_t, double>> doc_norms) {
   InvertedIndex index;
   for (auto& [doc_id, norm] : doc_norms) {
     if (!index.doc_norm_.emplace(doc_id, norm).second) {
@@ -175,15 +175,8 @@ Result<InvertedIndex> InvertedIndex::FromTerms(
                        "blocks, got %zu",
                        t.postings.size(), expect_blocks, t.blocks.size()));
     }
-    if (copy) {
-      info.postings_store.assign(t.postings.begin(), t.postings.end());
-      info.blocks_store.assign(t.blocks.begin(), t.blocks.end());
-      info.postings = {info.postings_store.data(), info.postings_store.size()};
-      info.blocks = {info.blocks_store.data(), info.blocks_store.size()};
-    } else {
-      info.postings = t.postings;
-      info.blocks = t.blocks;
-    }
+    info.postings = t.postings;
+    info.blocks = t.blocks;
   }
   index.finalized_ = true;
   return index;

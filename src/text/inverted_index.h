@@ -131,9 +131,8 @@ class InvertedIndex {
   /// reports the same num_documents() and survives re-export.
   const std::map<int64_t, double>& doc_norms() const { return doc_norm_; }
 
-  /// One term of a restored index: when `copy` is false the spans must
-  /// outlive the index (they typically point into a memory-mapped
-  /// segment); when `copy` is true FromTerms materializes owned copies.
+  /// One term of a restored index. The spans must outlive the index (they
+  /// typically point into a memory-mapped segment).
   struct RestoredTerm {
     std::string term;
     double idf = 0.0;
@@ -145,11 +144,11 @@ class InvertedIndex {
   /// Reassembles a *finalized* index from persisted parts — the inverse of
   /// TermRanges()/doc_norms(). Performs only structural validation (term
   /// uniqueness, block count consistency); byte integrity is the segment
-  /// checksums' job. With copy=false the restored index reads postings
-  /// zero-copy through the given spans.
+  /// checksums' job. The restored index reads postings zero-copy through
+  /// the given spans.
   static Result<InvertedIndex> FromTerms(
       std::vector<RestoredTerm> terms,
-      std::vector<std::pair<int64_t, double>> doc_norms, bool copy);
+      std::vector<std::pair<int64_t, double>> doc_norms);
 
   /// Top-N optimized evaluation: document-at-a-time maxscore with
   /// block-max skipping (see file comment). Returns exactly the same hits

@@ -1,8 +1,11 @@
 /// \file durable_library_test.cc
 /// The engine-layer durable library (DESIGN.md §4h):
 ///   * create → ingest → flush → reopen answers the full 16-modality
-///     planner sweep identically to the never-persisted library, in both
-///     mmap (zero-copy) and heap restore modes;
+///     planner sweep identically to the never-persisted library, with and
+///     without section verification on open;
+///   * the bulk build: Create persists a built library as one segment and
+///     an empty WAL, and refuses one holding unfinalized interviews;
+///   * WaitDurable on a ticket whose record was never staged fails;
 ///   * crash recovery: the WAL (video and signature frames) truncated
 ///     mid-record at randomized offsets reopens cleanly and answers the
 ///     sweep and similar_to queries exactly like a clean build over the
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -285,13 +289,6 @@ TEST(DurableLibraryTest, ReopenAnswersSweepIdentically) {
     auto durable = DurableLibrary::Open(dir).TakeValue();
     ExpectSameAnswers(*clean, durable->library(), "mmap reopen");
   }
-  // Heap restore: same answers, no borrowed spans.
-  {
-    DurableLibrary::Options options;
-    options.copy_text = true;
-    auto durable = DurableLibrary::Open(dir, options).TakeValue();
-    ExpectSameAnswers(*clean, durable->library(), "heap reopen");
-  }
   // Verification off (the benchmark's fast-open arm): still identical.
   {
     DurableLibrary::Options options;
@@ -299,6 +296,67 @@ TEST(DurableLibraryTest, ReopenAnswersSweepIdentically) {
     auto durable = DurableLibrary::Open(dir, options).TakeValue();
     ExpectSameAnswers(*clean, durable->library(), "no-verify reopen");
   }
+}
+
+TEST(DurableLibraryTest, CreateFromLibraryWritesOneSegment) {
+  const std::string dir = FreshDir("durable_bulk");
+  auto clean = CleanLibrary();
+  {
+    auto durable = DurableLibrary::Create(dir, CleanLibrary()).TakeValue();
+    EXPECT_EQ(durable->num_segments(), 1u);
+    EXPECT_EQ(durable->wal_sync_calls(), 0);
+    ExpectSameAnswers(*clean, durable->library(), "bulk live");
+  }
+  std::vector<std::string> entries = seg::ListDir(dir).TakeValue();
+  std::sort(entries.begin(), entries.end());
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0], "MANIFEST");
+  EXPECT_EQ(entries[1], "seg-000001.cseg");
+  EXPECT_EQ(entries[2], "wal-000002.wal");
+  EXPECT_EQ(seg::FileSize(dir + "/" + entries[2]).TakeValue(), 0);
+  auto reopened = DurableLibrary::Open(dir).TakeValue();
+  EXPECT_EQ(reopened->num_segments(), 1u);
+  ExpectSameAnswers(*clean, reopened->library(), "bulk reopen");
+
+  // An unfinalized interview lives only in the open index, which keeps no
+  // text to persist.
+  const std::string refused = FreshDir("durable_bulk_unfinalized");
+  auto site = MakeSite();
+  const auto [oid, body] = *site.interview_texts.begin();
+  auto library = DigitalLibrary::Create(std::move(site.store)).TakeValue();
+  ASSERT_TRUE(library->AddInterview(oid, body).ok());
+  EXPECT_EQ(
+      DurableLibrary::Create(refused, std::move(library)).status().code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(seg::FileExists(refused + "/MANIFEST"));
+
+  // Nor are signature records borrowed from another chain's segments.
+  const std::vector<vision::SignatureRecord> borrowed =
+      MakeSignatures(site.video_oids.front());
+  auto restored =
+      DigitalLibrary::CreateFromParts(
+          std::move(MakeSite().store), text::InvertedIndex(),
+          core::MetaIndex::Create().TakeValue(), {}, 0,
+          {{borrowed.data(), borrowed.size()}})
+          .TakeValue();
+  EXPECT_EQ(
+      DurableLibrary::Create(refused, std::move(restored)).status().code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(seg::FileExists(refused + "/MANIFEST"));
+}
+
+TEST(DurableLibraryTest, WaitDurableRejectsAnUnstagedTicket) {
+  const std::string dir = FreshDir("durable_unstaged");
+  auto durable =
+      DurableLibrary::Create(dir, std::move(MakeSite().store)).TakeValue();
+  const DurableLibrary::StageTicket ticket =
+      durable->Stage(core::IngestDelta::FinalizeText()).TakeValue();
+  DurableLibrary::StageTicket unstaged = ticket;
+  ++unstaged.seq;
+  EXPECT_EQ(durable->WaitDurable(unstaged).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(durable->WaitDurable(ticket).ok());
+  EXPECT_EQ(durable->wal_records_committed(), 1);
 }
 
 TEST(DurableLibraryTest, WalReplayRecoversUnflushedMutations) {

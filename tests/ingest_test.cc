@@ -1,6 +1,6 @@
 /// \file ingest_test.cc
 /// The pipelined corpus-ingest tier (DESIGN.md §4k):
-///   * GroupCommitWal: all three durability modes round-trip through
+///   * GroupCommitWal: staged and waited records round-trip through
 ///     ReplayWal; concurrent writers interleave without corruption; and
 ///     the crash property — a WAL truncated at ANY offset replays a clean
 ///     record prefix containing every record whose acknowledgment
@@ -11,7 +11,7 @@
 ///     the serial loop; errors are sticky and the committed set is
 ///     exactly a prefix of the submission order;
 ///   * DurableLibrarySink: pipelined sync-durable ingest matches the
-///     oracle under every WalMode and survives reopen;
+///     oracle, batches its fdatasyncs, and survives reopen;
 ///   * ShardedIngestSink (tsan-labeled): live ingest into a 1/2/7-shard
 ///     serving deployment — videos routed, interviews + FinalizeText
 ///     replicated — answers the sweep through the frontend bit-identically
@@ -254,53 +254,37 @@ Status StageAndWait(seg::GroupCommitWal* wal, const IngestDelta& delta) {
   return wal->WaitDurable(seq);
 }
 
-TEST(GroupCommitWalTest, AllModesRoundTripThroughReplay) {
-  const seg::WalMode modes[] = {seg::WalMode::kSyncEachRecord,
-                                seg::WalMode::kGroupCommit,
-                                seg::WalMode::kBuffered};
-  for (size_t m = 0; m < 3; ++m) {
-    const std::string dir = FreshDir("wal_mode_" + std::to_string(m));
-    const std::string path = dir + "/test.wal";
-    auto wal = seg::GroupCommitWal::Open(path, modes[m]).TakeValue();
-    const auto sigs = MakeSignatures(7);
-    for (const IngestDelta& delta :
-         {IngestDelta::Interview(11, "first interview"),
-          IngestDelta::Interview(12, "second interview"),
-          IngestDelta::FinalizeText(), IngestDelta::Video(MakeVideo(7), {}),
-          IngestDelta::Signatures(7, sigs)}) {
-      ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
-    }
-    EXPECT_EQ(wal->records_committed(), 5);
-    switch (modes[m]) {
-      case seg::WalMode::kSyncEachRecord:
-        EXPECT_EQ(wal->sync_calls(), 5);
-        break;
-      case seg::WalMode::kGroupCommit:
-        EXPECT_GE(wal->sync_calls(), 1);
-        EXPECT_LE(wal->sync_calls(), 5);
-        break;
-      case seg::WalMode::kBuffered:
-        EXPECT_EQ(wal->sync_calls(), 0);
-        break;
-    }
-    ASSERT_TRUE(wal->FlushAll().ok());
-
-    auto replay = seg::ReplayWal(path).TakeValue();
-    ASSERT_EQ(replay.size(), 5u);
-    EXPECT_EQ(replay[0].kind, IngestDelta::Kind::kInterview);
-    EXPECT_EQ(replay[0].interview_oid, 11);
-    EXPECT_EQ(replay[0].interview_text, "first interview");
-    EXPECT_EQ(replay[1].interview_oid, 12);
-    EXPECT_EQ(replay[2].kind, IngestDelta::Kind::kFinalizeText);
-    EXPECT_EQ(replay[3].kind, IngestDelta::Kind::kVideo);
-    EXPECT_EQ(replay[3].video.video_id(), 7);
-    EXPECT_EQ(replay[4].kind, IngestDelta::Kind::kSignatures);
-    EXPECT_EQ(replay[4].signature_video, 7);
-    ASSERT_EQ(replay[4].signatures.size(), sigs.size());
-    EXPECT_EQ(std::memcmp(replay[4].signatures.data(), sigs.data(),
-                          sigs.size() * sizeof(vision::SignatureRecord)),
-              0);
+TEST(GroupCommitWalTest, StagedRecordsRoundTripThroughReplay) {
+  const std::string dir = FreshDir("wal_roundtrip");
+  const std::string path = dir + "/test.wal";
+  auto wal = seg::GroupCommitWal::Open(path).TakeValue();
+  const auto sigs = MakeSignatures(7);
+  for (const IngestDelta& delta :
+       {IngestDelta::Interview(11, "first interview"),
+        IngestDelta::Interview(12, "second interview"),
+        IngestDelta::FinalizeText(), IngestDelta::Video(MakeVideo(7), {}),
+        IngestDelta::Signatures(7, sigs)}) {
+    ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
   }
+  // One writer waiting on every record: one fdatasync per record.
+  EXPECT_EQ(wal->records_committed(), 5);
+  EXPECT_EQ(wal->sync_calls(), 5);
+
+  auto replay = seg::ReplayWal(path).TakeValue();
+  ASSERT_EQ(replay.size(), 5u);
+  EXPECT_EQ(replay[0].kind, IngestDelta::Kind::kInterview);
+  EXPECT_EQ(replay[0].interview_oid, 11);
+  EXPECT_EQ(replay[0].interview_text, "first interview");
+  EXPECT_EQ(replay[1].interview_oid, 12);
+  EXPECT_EQ(replay[2].kind, IngestDelta::Kind::kFinalizeText);
+  EXPECT_EQ(replay[3].kind, IngestDelta::Kind::kVideo);
+  EXPECT_EQ(replay[3].video.video_id(), 7);
+  EXPECT_EQ(replay[4].kind, IngestDelta::Kind::kSignatures);
+  EXPECT_EQ(replay[4].signature_video, 7);
+  ASSERT_EQ(replay[4].signatures.size(), sigs.size());
+  EXPECT_EQ(std::memcmp(replay[4].signatures.data(), sigs.data(),
+                        sigs.size() * sizeof(vision::SignatureRecord)),
+            0);
 }
 
 std::string InterviewBody(int64_t oid) {
@@ -313,8 +297,7 @@ std::string InterviewBody(int64_t oid) {
 TEST(GroupCommitWalTest, ConcurrentWritersInterleaveWithoutCorruption) {
   const std::string dir = FreshDir("wal_concurrent");
   const std::string path = dir + "/test.wal";
-  auto wal =
-      seg::GroupCommitWal::Open(path, seg::WalMode::kGroupCommit).TakeValue();
+  auto wal = seg::GroupCommitWal::Open(path).TakeValue();
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 40;
   std::vector<std::thread> writers;
@@ -347,8 +330,7 @@ TEST(GroupCommitWalTest, ConcurrentWritersInterleaveWithoutCorruption) {
 TEST(GroupCommitWalTest, NoAcknowledgedRecordLostAtAnyTruncation) {
   const std::string dir = FreshDir("wal_crash");
   const std::string path = dir + "/test.wal";
-  auto wal =
-      seg::GroupCommitWal::Open(path, seg::WalMode::kGroupCommit).TakeValue();
+  auto wal = seg::GroupCommitWal::Open(path).TakeValue();
 
   // Concurrent committers; after each acknowledgment the writer snapshots
   // durable_bytes() — by then its record is inside the synced prefix, so
@@ -374,7 +356,6 @@ TEST(GroupCommitWalTest, NoAcknowledgedRecordLostAtAnyTruncation) {
     });
   }
   for (std::thread& w : writers) w.join();
-  ASSERT_TRUE(wal->FlushAll().ok());
 
   auto wal_map = seg::MmapFile::Open(path).TakeValue();
   const std::vector<uint8_t> full(wal_map.data(),
@@ -513,54 +494,42 @@ TEST(IngestPipelineTest, ErrorsAreStickyAndCommitsStayAPrefix) {
   EXPECT_FALSE(pipeline.Finish().ok());
 }
 
-TEST(IngestPipelineTest, DurableIngestMatchesOracleUnderEveryWalMode) {
+TEST(IngestPipelineTest, DurableIngestMatchesOracleAndSurvivesReopen) {
   auto oracle_site = MakeSite();
   const std::vector<IngestDelta> ops = MakeOps(oracle_site);
   auto oracle =
       DigitalLibrary::Create(std::move(oracle_site.store)).TakeValue();
   ApplySerial(oracle.get(), ops);
 
-  const seg::WalMode modes[] = {seg::WalMode::kSyncEachRecord,
-                                seg::WalMode::kGroupCommit,
-                                seg::WalMode::kBuffered};
-  for (size_t m = 0; m < 3; ++m) {
-    const std::string dir = FreshDir("ingest_durable_" + std::to_string(m));
-    const std::string label = "wal_mode=" + std::to_string(m);
-    util::ThreadPool pool(4);
-    {
-      auto site = MakeSite();
-      DurableLibrary::Options durable_options;
-      durable_options.wal_mode = modes[m];
-      auto durable = DurableLibrary::Create(dir, std::move(site.store),
-                                            durable_options)
-                         .TakeValue();
-      DurableLibrarySink sink(durable.get());
-      CorpusIngestPipeline::Options options;
-      options.pool = &pool;
-      CorpusIngestPipeline pipeline(&sink, options);
-      ASSERT_TRUE(RunOps(&pipeline, ops).ok());
+  const std::string dir = FreshDir("ingest_durable");
+  util::ThreadPool pool(4);
+  {
+    auto durable =
+        DurableLibrary::Create(dir, std::move(MakeSite().store)).TakeValue();
+    DurableLibrarySink sink(durable.get());
+    CorpusIngestPipeline::Options options;
+    options.pool = &pool;
+    CorpusIngestPipeline pipeline(&sink, options);
+    ASSERT_TRUE(RunOps(&pipeline, ops).ok());
 
-      // A video delta with signatures stages two WAL records
-      // (description + signature batch).
-      int64_t expected_records = 0;
-      for (const IngestDelta& op : ops) {
-        expected_records +=
-            op.kind == IngestDelta::Kind::kVideo && !op.signatures.empty() ? 2
-                                                                           : 1;
-      }
-      EXPECT_EQ(durable->wal_records_committed(), expected_records);
-      if (modes[m] == seg::WalMode::kGroupCommit) {
-        // Sweeps batch durability waits: syncs can't exceed records, and
-        // with the whole pipeline feeding one WAL they should not reach
-        // one-per-record either.
-        EXPECT_LE(durable->wal_sync_calls(), durable->wal_records_committed());
-      }
-      ExpectSameAnswers(*oracle, durable->library(), label + " live");
+    // A video delta with signatures stages two WAL records
+    // (description + signature batch).
+    int64_t expected_records = 0;
+    for (const IngestDelta& op : ops) {
+      expected_records +=
+          op.kind == IngestDelta::Kind::kVideo && !op.signatures.empty() ? 2
+                                                                         : 1;
     }
-    // Everything acknowledged is in the WAL: reopen replays it.
-    auto reopened = DurableLibrary::Open(dir).TakeValue();
-    ExpectSameAnswers(*oracle, reopened->library(), label + " reopened");
+    EXPECT_EQ(durable->wal_records_committed(), expected_records);
+    // Sweeps batch durability waits: syncs can't exceed records, and
+    // with the whole pipeline feeding one WAL they should not reach
+    // one-per-record either.
+    EXPECT_LE(durable->wal_sync_calls(), durable->wal_records_committed());
+    ExpectSameAnswers(*oracle, durable->library(), "live");
   }
+  // Everything acknowledged is in the WAL: reopen replays it.
+  auto reopened = DurableLibrary::Open(dir).TakeValue();
+  ExpectSameAnswers(*oracle, reopened->library(), "reopened");
 }
 
 // ---------------------------------------------------------------------------

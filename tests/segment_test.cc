@@ -4,15 +4,18 @@
 ///     the out-of-order-application guard;
 ///   * whole-segment write/open/restore roundtrips, single segment and a
 ///     base+delta chain with pending interviews;
-///   * mmap-backed (zero-copy) vs heap-backed restored text indexes answer
-///     bit-identically;
+///   * the mmap-backed (zero-copy) restored text index holds the writer's
+///     exact postings and answers bit-identically to the heap-backed
+///     index it was written from;
 ///   * corruption hardening: mutated headers, section payloads, checksums
 ///     and truncations must fail cleanly with Status, never crash (run
 ///     under asan/ubsan in CI);
 ///   * segments that still carry the retired compressed-text section
 ///     (id 7) open, restore and answer the planner sweep unchanged, and
 ///     compaction drops the section;
-///   * WAL framing roundtrip and torn-tail truncation semantics.
+///   * WAL framing roundtrip and torn-tail truncation semantics, the pinned
+///     on-disk frame bytes, group commit's one fdatasync per waited group,
+///     and the failed wait on a record that was never staged.
 
 #include <gtest/gtest.h>
 
@@ -282,7 +285,7 @@ TEST(SegmentTest, SingleSegmentRoundtrip) {
   // The raw records are 64-aligned in the map, ready for SIMD loads.
   EXPECT_EQ(reinterpret_cast<uintptr_t>(chunk.first) % 64, 0u);
 
-  auto parts = RestoreFromSegments({reader.get()}, false).TakeValue();
+  auto parts = RestoreFromSegments({reader.get()}).TakeValue();
   EXPECT_EQ(parts.index_epoch, 5);
   ASSERT_EQ(parts.signature_chunks.size(), 1u);
   EXPECT_EQ(parts.signature_chunks[0].second, fixture.signatures.size());
@@ -365,8 +368,7 @@ TEST(SegmentTest, DeltaChainWithPendingInterviews) {
   auto base_reader = SegmentReader::Open(base_path).TakeValue();
   auto delta_reader = SegmentReader::Open(delta_path).TakeValue();
   auto parts =
-      RestoreFromSegments({base_reader.get(), delta_reader.get()}, false)
-          .TakeValue();
+      RestoreFromSegments({base_reader.get(), delta_reader.get()}).TakeValue();
   EXPECT_EQ(parts.index_epoch, 2);
   EXPECT_FALSE(parts.text.has_value());
   ASSERT_EQ(parts.pending_interviews.size(), 3u);
@@ -391,10 +393,34 @@ TEST(SegmentTest, MmapAndHeapTextAreBitIdentical) {
   ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
   auto reader = SegmentReader::Open(path).TakeValue();
 
-  auto mapped = reader->LoadTextIndex(/*copy=*/false).TakeValue();
-  auto heap = reader->LoadTextIndex(/*copy=*/true).TakeValue();
+  auto mapped = reader->LoadTextIndex().TakeValue();
+  // The heap-backed side is the in-memory index the segment was written
+  // from: every term views exactly its postings and skip blocks.
+  const auto heap_terms = fixture.text.TermRanges().TakeValue();
+  const auto mapped_terms = mapped.TermRanges().TakeValue();
+  ASSERT_EQ(heap_terms.size(), mapped_terms.size());
+  for (size_t t = 0; t < heap_terms.size(); ++t) {
+    const auto& heap = heap_terms[t];
+    const auto& view = mapped_terms[t];
+    ASSERT_EQ(*heap.term, *view.term);
+    EXPECT_EQ(std::memcmp(&heap.idf, &view.idf, 8), 0) << *heap.term;
+    EXPECT_EQ(std::memcmp(&heap.max_weight, &view.max_weight, 8), 0)
+        << *heap.term;
+    ASSERT_EQ(heap.postings.size(), view.postings.size()) << *heap.term;
+    ASSERT_EQ(heap.blocks.size(), view.blocks.size()) << *heap.term;
+    EXPECT_EQ(std::memcmp(heap.postings.data(), view.postings.data(),
+                          heap.postings.size() *
+                              sizeof(text::InvertedIndex::Posting)),
+              0)
+        << *heap.term;
+    EXPECT_EQ(std::memcmp(heap.blocks.data(), view.blocks.data(),
+                          heap.blocks.size() *
+                              sizeof(text::InvertedIndex::BlockMeta)),
+              0)
+        << *heap.term;
+  }
+  EXPECT_EQ(fixture.text.doc_norms(), mapped.doc_norms());
   ExpectSameSearch(fixture.text, mapped);
-  ExpectSameSearch(mapped, heap);
 
   // Copies of a view-backed index keep working (span re-pointing rules).
   text::InvertedIndex mapped_copy = mapped;
@@ -423,7 +449,21 @@ void ExpectCleanOpen(const std::string& path) {
   if (CreateMetaTables(&shots, &objects, &events).ok()) {
     (void)(*reader)->ApplyMeta(&shots, &objects, &events);
   }
-  (void)(*reader)->LoadTextIndex(true);
+  // Read every posting and skip-block byte the restored index views in
+  // the mapping, so a size or offset a flip pushed past the section shows
+  // up here (under asan).
+  if (auto index = (*reader)->LoadTextIndex(); index.ok()) {
+    uint32_t crc = 0;
+    for (const auto& range : index->TermRanges().TakeValue()) {
+      crc = util::Crc32(
+          range.postings.data(),
+          range.postings.size() * sizeof(text::InvertedIndex::Posting), crc);
+      crc = util::Crc32(
+          range.blocks.data(),
+          range.blocks.size() * sizeof(text::InvertedIndex::BlockMeta), crc);
+    }
+    (void)crc;
+  }
   (void)(*reader)->PendingInterviews();
   (void)(*reader)->SignatureChunk();
 }
@@ -506,7 +546,7 @@ TEST(SegmentCorruptionTest, SignatureRecordValidationRejectsBadFields) {
     ASSERT_TRUE(WriteSegment(FullDelta(fixture), path).ok());
     auto reader = SegmentReader::Open(path).TakeValue();
     EXPECT_FALSE(reader->SignatureChunk().ok()) << "variant " << which;
-    EXPECT_FALSE(RestoreFromSegments({reader.get()}, false).ok())
+    EXPECT_FALSE(RestoreFromSegments({reader.get()}).ok())
         << "variant " << which;
   }
 }
@@ -593,7 +633,7 @@ TEST(LegacySegmentTest, RetiredCompressedTextSectionIsIgnored) {
     auto reader = SegmentReader::Open(path, verify);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     EXPECT_TRUE((*reader)->has_section(kRetiredCompressedText));
-    auto parts = RestoreFromSegments({reader->get()}, false);
+    auto parts = RestoreFromSegments({reader->get()});
     ASSERT_TRUE(parts.ok()) << parts.status().ToString();
     ASSERT_TRUE(parts->text.has_value());
     EXPECT_EQ(parts->indexed_videos, fixture.video_oids);
@@ -620,7 +660,7 @@ TEST(LegacySegmentTest, RetiredCompressedTextSectionIsIgnored) {
   EXPECT_FALSE(SegmentReader::Open(mutated).ok());
   auto reader = SegmentReader::Open(mutated, SegmentReader::Verify::kNone);
   ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(RestoreFromSegments({reader->get()}, false).ok());
+  EXPECT_TRUE(RestoreFromSegments({reader->get()}).ok());
 }
 
 /// The 16-modality planner sweep: every subset of {player predicate,
@@ -769,14 +809,13 @@ Status StageAndWait(GroupCommitWal* wal, const IngestDelta& delta) {
 TEST(WalTest, RoundtripAndTornTail) {
   const std::string path = TempPath("wal_roundtrip.wal");
   {
-    auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
+    auto wal = GroupCommitWal::Open(path).TakeValue();
     ASSERT_TRUE(
         StageAndWait(wal.get(), IngestDelta::Interview(7, "net play champion"))
             .ok());
     ASSERT_TRUE(
         StageAndWait(wal.get(), IngestDelta::Video(MakeVideo(42, 1), {})).ok());
     ASSERT_TRUE(StageAndWait(wal.get(), IngestDelta::FinalizeText()).ok());
-    ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto records = ReplayWal(path).TakeValue();
   ASSERT_EQ(records.size(), 3u);
@@ -817,11 +856,10 @@ TEST(WalTest, SignatureRecordsRoundtrip) {
   const std::string path = TempPath("wal_signatures.wal");
   const std::vector<vision::SignatureRecord> records = MakeSignatures({42, 43});
   {
-    auto wal = GroupCommitWal::Open(path, WalMode::kBuffered).TakeValue();
+    auto wal = GroupCommitWal::Open(path).TakeValue();
     ASSERT_TRUE(
         StageAndWait(wal.get(), IngestDelta::Signatures(42, records)).ok());
     ASSERT_TRUE(StageAndWait(wal.get(), IngestDelta::Signatures(7, {})).ok());
-    ASSERT_TRUE(wal->FlushAll().ok());
   }
   auto replayed = ReplayWal(path).TakeValue();
   ASSERT_EQ(replayed.size(), 2u);
@@ -932,29 +970,51 @@ TEST(WalTest, OnDiskFormatIsPinned) {
               0);
   }
 
-  // Staging the four deltas writes exactly those bytes, in every mode:
-  // the video and its two signatures are two frames, each its own record.
+  // Staging the four deltas writes exactly those bytes: the video and its
+  // two signatures are two frames, each its own record. Waited one delta
+  // at a time, each wait syncs its own group; staged together, one wait
+  // syncs all five records as one group.
   const IngestDelta deltas[] = {IngestDelta::Interview(7, text),
                                 IngestDelta::FinalizeText(),
                                 IngestDelta::Video(video, video_sigs),
                                 IngestDelta::Signatures(43, batch)};
-  for (WalMode mode : {WalMode::kSyncEachRecord, WalMode::kGroupCommit,
-                       WalMode::kBuffered}) {
-    const std::string path =
-        TempPath("wal_pinned_" + std::to_string(static_cast<int>(mode)) +
-                 ".wal");
-    auto wal = GroupCommitWal::Open(path, mode).TakeValue();
+  {
+    const std::string path = TempPath("wal_pinned_each.wal");
+    auto wal = GroupCommitWal::Open(path).TakeValue();
     for (const IngestDelta& delta : deltas) {
       ASSERT_TRUE(StageAndWait(wal.get(), delta).ok());
     }
-    ASSERT_TRUE(wal->FlushAll().ok());
+    EXPECT_EQ(wal->sync_calls(), 4);
     EXPECT_EQ(wal->records_committed(), 5);
-    if (mode == WalMode::kSyncEachRecord) {
-      EXPECT_EQ(wal->sync_calls(), 5);
-    }
-    EXPECT_EQ(ReadAll(path), expected)
-        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(ReadAll(path), expected);
   }
+  {
+    const std::string path = TempPath("wal_pinned_group.wal");
+    auto wal = GroupCommitWal::Open(path).TakeValue();
+    uint64_t last = 0;
+    for (const IngestDelta& delta : deltas) {
+      last = wal->Stage(delta).TakeValue();
+    }
+    EXPECT_EQ(last, 5u);
+    EXPECT_EQ(wal->sync_calls(), 0);  // staging never touches the file
+    ASSERT_TRUE(wal->WaitDurable(last).ok());
+    EXPECT_EQ(wal->sync_calls(), 1);
+    EXPECT_EQ(wal->records_committed(), 5);
+    EXPECT_EQ(ReadAll(path), expected);
+  }
+}
+
+// A wait that no group can ever cover fails at once, instead of syncing
+// empty batches forever.
+TEST(WalTest, WaitDurableOnUnstagedRecordFails) {
+  auto wal = GroupCommitWal::Open(TempPath("wal_unstaged.wal")).TakeValue();
+  EXPECT_EQ(wal->WaitDurable(1).code(), StatusCode::kFailedPrecondition);
+  const uint64_t seq = wal->Stage(IngestDelta::FinalizeText()).TakeValue();
+  EXPECT_EQ(wal->WaitDurable(seq + 1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(wal->sync_calls(), 0);
+  ASSERT_TRUE(wal->WaitDurable(seq).ok());
+  EXPECT_EQ(wal->sync_calls(), 1);
+  EXPECT_EQ(wal->records_committed(), 1);
 }
 
 TEST(WalTest, VideoDescriptionCodecRoundtrip) {

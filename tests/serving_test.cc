@@ -12,6 +12,8 @@
 ///     evaluation on one library, through the planner and the fixed-order
 ///     oracle);
 ///   * bound-based shard pruning happens and never changes results;
+///   * the durable shard build writes one segment and an empty WAL per
+///     shard, and a reopened shard answers like the in-memory one;
 ///   * a paused backend degrades at the deadline instead of stalling, and
 ///     full queues shed with Unavailable instead of queueing unboundedly;
 ///   * per-shard epoch invalidation: mutating one shard is picked up
@@ -266,6 +268,63 @@ TEST(ServingPartitionTest, RangeShardsCoverTheCorpusOnce) {
               static_cast<int64_t>(parts.interviews.size()));
   }
   EXPECT_EQ(total, parts.videos.size());
+}
+
+/// The durable build persists BuildShardLibraries' shards as built: each
+/// shard directory holds the MANIFEST, one segment and an empty WAL, and
+/// the reopened shard answers the sweep and similar_to queries
+/// bit-identically to the in-memory shard.
+TEST(ServingPartitionTest, DurableShardsHoldOneSegmentAndAnswerLikeMemory) {
+  const std::string base = ::testing::TempDir() + "serving_durable_shards";
+  std::error_code ec;
+  std::filesystem::remove_all(base, ec);  // leftovers from a prior run
+  int64_t shared = -1;
+  const CorpusParts parts = MakeTiedParts(&shared);
+  auto memory = BuildShardLibraries(parts, 3).TakeValue();
+  ASSERT_TRUE(BuildDurableShards(parts, 3, base).ok());
+
+  std::vector<CombinedQuery> queries = SweepQueries();
+  for (const auto& shard : memory) {
+    for (int64_t frame : {0, 17000, 39000}) {
+      CombinedQuery query;
+      query.similar_video = shard->indexed_videos().front();
+      query.similar_frame = frame;
+      queries.push_back(query);
+      query.event = "net_play";
+      queries.push_back(std::move(query));
+    }
+  }
+  for (size_t s = 0; s < memory.size(); ++s) {
+    const std::string dir = base + "/shard-000" + std::to_string(s);
+    std::vector<std::string> entries;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      entries.push_back(entry.path().filename().string());
+    }
+    std::sort(entries.begin(), entries.end());
+    EXPECT_EQ(entries, (std::vector<std::string>{
+                           "MANIFEST", "seg-000001.cseg", "wal-000002.wal"}));
+    EXPECT_EQ(std::filesystem::file_size(dir + "/wal-000002.wal"), 0u);
+
+    auto reopened = DurableLibrary::Open(dir).TakeValue();
+    const DigitalLibrary& durable = reopened->library();
+    EXPECT_EQ(durable.index_epoch(), memory[s]->index_epoch());
+    EXPECT_EQ(durable.indexed_videos(), memory[s]->indexed_videos());
+    EXPECT_EQ(durable.signatures().num_records(),
+              memory[s]->signatures().num_records());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string label =
+          "shard " + std::to_string(s) + " query " + std::to_string(qi);
+      auto expected = memory[s]->Search(queries[qi]);
+      auto actual = durable.Search(queries[qi]);
+      ASSERT_EQ(expected.ok(), actual.ok()) << label;
+      if (!expected.ok()) {
+        EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+            << label;
+        continue;
+      }
+      ExpectBitIdentical(*expected, *actual, label);
+    }
+  }
 }
 
 TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
