@@ -185,9 +185,7 @@ int main() {
               parts.videos.size(), parts.interviews.size(), stream.size());
 
   // ---- a) single-node baseline: the top-10 from one engine. ----
-  engine::QueryEngineConfig engine_config;
-  engine_config.num_threads = 1;
-  engine::QueryEngine baseline(oracle.get(), engine_config);
+  engine::QueryEngine baseline(oracle.get());
   for (size_t i = 0; i < stream.size(); i += 10) {
     // Warm the cache + page the index.
     (void)baseline.Search({stream[i], kTopN});
@@ -209,9 +207,7 @@ int main() {
         engine::serving::BuildShardLibraries(parts, num_shards).TakeValue();
     std::vector<const engine::DigitalLibrary*> views;
     for (const auto& shard : shards) views.push_back(shard.get());
-    ServingConfig config;
-    config.engine.num_threads = 1;
-    auto frontend = ServingFrontend::Create(views, config).TakeValue();
+    auto frontend = ServingFrontend::Create(views, ServingConfig{}).TakeValue();
     for (size_t i = 0; i < stream.size(); i += 10) {
       (void)frontend->Search(stream[i], kTopN);
     }

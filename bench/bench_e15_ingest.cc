@@ -505,7 +505,6 @@ void RunServingUnderIngest(int threads, int64_t live_videos) {
 
   ShardedIngestSink::Options sink_options;
   sink_options.num_shards = 2;
-  sink_options.serving.replicas = 2;
   auto sink = ShardedIngestSink::Create(seed, sink_options).TakeValue();
 
   auto run_queries = [&sink](std::atomic<bool>* stop, int64_t* answered,

@@ -9,10 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -161,10 +163,10 @@ void RunComparison() {
   bench::PrintRule();
 }
 
-/// The QueryEngine front end: cold vs warm cache and batch throughput at
-/// 1 vs 8 worker threads over a repeating workload.
+/// The QueryEngine result cache: cold vs warm cache, and one repeating
+/// batch sent from 1 vs 8 client threads sharing one engine.
 void RunQueryEngine() {
-  bench::PrintHeader("E7b", "query engine: result cache + concurrent batches");
+  bench::PrintHeader("E7b", "query engine: result cache + concurrent clients");
   const Library& lib = SharedLibrary();
 
   std::vector<engine::CombinedQuery> workload;
@@ -192,36 +194,44 @@ void RunQueryEngine() {
 
   std::printf("%-28s %10s %10s %10s\n", "configuration", "total_ms",
               "hit_rate", "errors");
-  double serial_ms = 0;
   for (int threads : {1, 8}) {
-    engine::QueryEngineConfig config;
-    config.num_threads = threads;
-    engine::QueryEngine eng(lib.library.get(), config);
+    engine::QueryEngine eng(lib.library.get());
+    // Each client takes the next unanswered query of the shared batch. The
+    // clients start before the clock and wait for `go`, so the time is the
+    // batch's, not thread creation's.
+    std::atomic<bool> go{false};
+    std::atomic<size_t> next{0};
+    std::atomic<int64_t> errors{0};
+    auto client = [&] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t i = next.fetch_add(1); i < batch.size();
+           i = next.fetch_add(1)) {
+        if (!eng.Search(batch[i]).ok()) errors.fetch_add(1);
+      }
+    };
+    std::vector<std::thread> clients;
+    for (int c = 1; c < threads; ++c) clients.emplace_back(client);
     auto t0 = std::chrono::steady_clock::now();
-    auto results = eng.SearchBatch(batch);
+    go.store(true);
+    client();
+    for (std::thread& t : clients) t.join();
     auto t1 = std::chrono::steady_clock::now();
-    int64_t errors = 0;
-    for (const auto& r : results) {
-      if (!r.ok()) ++errors;
-    }
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (threads == 1) serial_ms = ms;
     engine::QueryEngineStats stats = eng.stats();
     char label[64];
-    std::snprintf(label, sizeof(label), "batch %zu, %d thread(s)",
+    std::snprintf(label, sizeof(label), "batch %zu, %d client(s)",
                   batch.size(), threads);
     std::printf("%-28s %10.3f %10.3f %10lld\n", label, ms,
-                stats.CacheHitRate(), static_cast<long long>(errors));
+                stats.CacheHitRate(), static_cast<long long>(errors.load()));
     char metric[64];
     std::snprintf(metric, sizeof(metric), "batch_ms_threads%d", threads);
     bench::PrintJsonMetric("e7_combined_query", metric, ms);
     std::snprintf(metric, sizeof(metric), "cache_hit_rate_threads%d", threads);
     bench::PrintJsonMetric("e7_combined_query", metric, stats.CacheHitRate());
   }
-  (void)serial_ms;
 
   // Cold vs warm single-query latency through the cache.
-  engine::QueryEngine eng(lib.library.get(), engine::QueryEngineConfig{});
+  engine::QueryEngine eng(lib.library.get());
   auto query = workload.front();
   auto t0 = std::chrono::steady_clock::now();
   (void)eng.Search(query);

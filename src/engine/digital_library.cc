@@ -1,6 +1,7 @@
 #include "engine/digital_library.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "engine/planner/planner.h"
@@ -171,6 +172,10 @@ size_t EffectiveSimilarK(const similarity::SignatureIndex& index,
   return query.similar_k > 0 ? query.similar_k : index.config().rerank_k;
 }
 
+size_t SimilarCandidates(size_t k) {
+  return k < std::numeric_limits<size_t>::max() ? k + 1 : k;
+}
+
 SimilarNeighbors BuildSimilarNeighbors(
     const std::vector<similarity::Neighbor>& candidates,
     const CombinedQuery& query, size_t k) {
@@ -198,10 +203,8 @@ Result<SimilarNeighbors> SimilarStage(const similarity::SignatureIndex& index,
   COBRA_ASSIGN_OR_RETURN(vision::ShotSignature sig,
                          ResolveProbeSignature(index, query));
   const size_t k = EffectiveSimilarK(index, query);
-  // k + 1 so the probe's own shot (distance 0, excluded below) never
-  // displaces a real neighbor.
-  return BuildSimilarNeighbors(index.SearchSimilar(sig, k + 1, stats), query,
-                               k);
+  return BuildSimilarNeighbors(
+      index.SearchSimilar(sig, SimilarCandidates(k), stats), query, k);
 }
 
 Status DigitalLibrary::ValidateQuery(const CombinedQuery& query) const {

@@ -132,8 +132,9 @@ SimilarNeighbors BuildSimilarNeighbors(
     const std::vector<similarity::Neighbor>& candidates,
     const CombinedQuery& query, size_t k);
 
-/// The full similar stage against one index: resolve, search (k + 1
-/// candidates so the probe's own shot never displaces a neighbor), group.
+/// The full similar stage against one index: resolve, search
+/// (SimilarCandidates(k) candidates so the probe's own shot never
+/// displaces a neighbor), group.
 Result<SimilarNeighbors> SimilarStage(
     const similarity::SignatureIndex& index, const CombinedQuery& query,
     similarity::SimilaritySearchStats* stats = nullptr);
@@ -142,6 +143,11 @@ Result<SimilarNeighbors> SimilarStage(
 /// index's rerank_k default when unset).
 size_t EffectiveSimilarK(const similarity::SignatureIndex& index,
                          const CombinedQuery& query);
+
+/// Candidates to search for `k` neighbors: k + 1, since the probe's own
+/// shot is a candidate but never an answer, saturating at SIZE_MAX so a k
+/// beyond the index still asks for every record.
+size_t SimilarCandidates(size_t k);
 
 class DigitalLibrary {
  public:

@@ -84,8 +84,8 @@ Status ShardedIngestSink::Barrier() {
     const size_t build = 1 - shard.front;
     if (shard.applied[build] == shard.applied[shard.front]) continue;
     std::shared_ptr<const void> retired;
-    COBRA_RETURN_NOT_OK(frontend_->ReloadShardRetiring(
-        s, shard.lib[build].get(), &retired));
+    COBRA_RETURN_NOT_OK(
+        frontend_->ReloadShard(s, shard.lib[build].get(), &retired));
     shard.front = build;
     ++publishes_;
     // The retired copy may still be read by in-flight queries holding the

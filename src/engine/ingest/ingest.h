@@ -110,7 +110,7 @@ class DurableLibrarySink : public IngestSink {
 /// fan out to every shard (the replicated
 /// modality, partition.h). Each shard is double-buffered: commits apply
 /// to the build copy, and Barrier publishes it through
-/// ServingFrontend::ReloadShardRetiring — the index-epoch seam — then
+/// ServingFrontend::ReloadShard — the index-epoch seam — then
 /// waits for the retired copy's lease before reusing it as the next
 /// build copy, so queries racing ingest always read a consistent,
 /// unmutated snapshot.

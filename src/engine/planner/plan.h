@@ -6,8 +6,8 @@
 /// executed stage with its estimated vs actual cardinality, plus the
 /// plan-shape decisions the cost model took. Results never depend on any
 /// of this — every plan is bit-identical to the fixed-order test oracle —
-/// so the explain output is pure observability, wired into `QueryEngine`
-/// stats and tests.
+/// so the explain output is pure observability, read through
+/// `DigitalLibrary::ExplainSearch` (rendered by `ToString`) and by tests.
 
 #include <cstdint>
 #include <string>

@@ -1,7 +1,7 @@
 #include "engine/query_language.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "util/strings.h"
@@ -63,6 +63,18 @@ bool IsInteger(const std::string& s) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
   }
   return true;
+}
+
+/// The value of an IsInteger literal; ParseError when it lies outside
+/// int64 (no literal wraps or saturates into another value).
+Result<int64_t> ToInt64(const std::string& s) {
+  int64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    return Status::ParseError(
+        StringFormat("integer '%s' is outside the 64-bit range", s.c_str()));
+  }
+  return value;
 }
 
 /// Splits one condition into lhs / op / rhs.
@@ -130,7 +142,7 @@ Result<CombinedQuery> ParseQuery(const std::string& input) {
             StringFormat("won.year needs an integer, got '%s'", rhs.c_str()));
       }
       query.require_champion = true;
-      query.won_year = std::atoll(rhs.c_str());
+      COBRA_ASSIGN_OR_RETURN(query.won_year, ToInt64(rhs));
       continue;
     }
     if (lhs_lower == "similar_to") {
@@ -145,19 +157,20 @@ Result<CombinedQuery> ParseQuery(const std::string& input) {
         return Status::ParseError(StringFormat(
             "similar_to needs '<video>:<frame>', got '%s'", rhs.c_str()));
       }
-      query.similar_video = std::atoll(video.c_str());
-      query.similar_frame = std::atoll(frame.c_str());
+      COBRA_ASSIGN_OR_RETURN(query.similar_video, ToInt64(video));
+      COBRA_ASSIGN_OR_RETURN(query.similar_frame, ToInt64(frame));
       if (query.similar_video < 0 || query.similar_frame < 0) {
         return Status::ParseError("similar_to video and frame must be >= 0");
       }
       continue;
     }
     if (lhs_lower == "similar_to.k") {
-      if (!IsInteger(rhs) || std::atoll(rhs.c_str()) <= 0) {
-        return Status::ParseError(StringFormat(
-            "similar_to.k needs a positive integer, got '%s'", rhs.c_str()));
-      }
-      query.similar_k = static_cast<size_t>(std::atoll(rhs.c_str()));
+      const Status not_positive = Status::ParseError(StringFormat(
+          "similar_to.k needs a positive integer, got '%s'", rhs.c_str()));
+      if (!IsInteger(rhs)) return not_positive;
+      COBRA_ASSIGN_OR_RETURN(const int64_t k, ToInt64(rhs));
+      if (k <= 0) return not_positive;
+      query.similar_k = static_cast<size_t>(k);
       continue;
     }
     if (StartsWith(lhs_lower, "player.")) {
@@ -169,7 +182,7 @@ Result<CombinedQuery> ParseQuery(const std::string& input) {
       pred.column = lhs_lower.substr(7);
       pred.op = compare_op;
       if (IsInteger(rhs)) {
-        pred.literal = static_cast<int64_t>(std::atoll(rhs.c_str()));
+        COBRA_ASSIGN_OR_RETURN(pred.literal, ToInt64(rhs));
       } else {
         pred.literal = ToLowerAscii(rhs);
       }

@@ -12,13 +12,6 @@ namespace {
 /// Entries of the frontend's text-seed LRU cache.
 constexpr size_t kTextSeedCacheCapacity = 128;
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Merges a shard's SceneHitLess-sorted result into the running global
 /// top-N (top_n == 0 = unbounded). Sorted-input merge keeps the whole
 /// gather linear in the hits seen.
@@ -80,36 +73,30 @@ Result<std::unique_ptr<ServingFrontend>> ServingFrontend::Create(
 
 ServingFrontend::ServingFrontend(std::vector<const DigitalLibrary*> shards,
                                  ServingConfig config)
-    : config_(std::move(config)) {
-  // Replicas are the workers; a pool inside the per-shard engine would
-  // only fight them for the cores.
-  config_.engine.num_threads = 1;
-  if (config_.replicas < 1) config_.replicas = 1;
+    : config_(config), seed_cache_(kTextSeedCacheCapacity) {
   if (config_.queue_depth < 1) config_.queue_depth = 1;
   slots_.reserve(shards.size());
+  workers_.reserve(shards.size());
   for (const DigitalLibrary* shard : shards) {
     auto slot = std::make_unique<ShardSlot>();
     slot->snap = BuildSnapshot(shard, nullptr, std::make_shared<int>(0));
     slots_.push_back(std::move(slot));
+    workers_.push_back(std::make_unique<Worker>());
   }
-  replicas_.resize(slots_.size() * static_cast<size_t>(config_.replicas));
-  for (auto& replica : replicas_) {
-    replica = std::make_unique<Replica>();
-  }
-  for (auto& replica : replicas_) {
-    replica->thread = std::thread(&ServingFrontend::WorkerLoop, this,
-                                  replica.get());
+  for (auto& worker : workers_) {
+    worker->thread =
+        std::thread(&ServingFrontend::WorkerLoop, this, worker.get());
   }
 }
 
 ServingFrontend::~ServingFrontend() {
   stop_.store(true, std::memory_order_release);
-  for (auto& replica : replicas_) {
-    std::lock_guard<std::mutex> lock(replica->mu);
-    replica->cv.notify_all();
+  for (auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    worker->cv.notify_all();
   }
-  for (auto& replica : replicas_) {
-    if (replica->thread.joinable()) replica->thread.join();
+  for (auto& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
   }
 }
 
@@ -119,8 +106,8 @@ std::shared_ptr<const ServingFrontend::Snapshot> ServingFrontend::BuildSnapshot(
   auto snap = std::make_shared<Snapshot>();
   snap->library = library;
   snap->lease = std::move(lease);
-  snap->engine = engine ? std::move(engine)
-                        : std::make_shared<QueryEngine>(library, config_.engine);
+  snap->engine =
+      engine ? std::move(engine) : std::make_shared<QueryEngine>(library);
   snap->built_epoch = library->index_epoch();
   const std::vector<int64_t>& videos = library->indexed_videos();
   snap->has_videos = !videos.empty();
@@ -159,6 +146,9 @@ Result<std::shared_ptr<const SimilarSeed>> ServingFrontend::SimilarSeedFor(
   }
   if (home == nullptr) return unresolved;
   const size_t k = EffectiveSimilarK(*home, query);
+  // The probe's own record (home shard only) must not displace a real
+  // neighbor before BuildSimilarNeighbors drops it.
+  const size_t candidates = SimilarCandidates(k);
 
   // Candidate merge in Hamming-lower-bound order: per-shard exact
   // top-(k+1) lists union to the global top-(k+1) (each shard's list is
@@ -184,12 +174,11 @@ Result<std::shared_ptr<const SimilarSeed>> ServingFrontend::SimilarSeedFor(
       ++*probes_skipped;
       continue;
     }
-    // k + 1 so the probe's own record (home shard only) never displaces a
-    // real neighbor before BuildSimilarNeighbors drops it.
-    std::vector<similarity::Neighbor> cand = index->SearchSimilar(probe, k + 1);
+    std::vector<similarity::Neighbor> cand =
+        index->SearchSimilar(probe, candidates);
     merged.insert(merged.end(), cand.begin(), cand.end());
     std::sort(merged.begin(), merged.end(), similarity::NeighborBefore);
-    if (merged.size() > k + 1) merged.resize(k + 1);
+    if (merged.size() > candidates) merged.resize(candidates);
   }
   auto seed = std::make_shared<SimilarSeed>();
   seed->signature = probe;
@@ -204,10 +193,10 @@ std::shared_ptr<const ServingFrontend::Snapshot> ServingFrontend::Acquire(
   if (slot.snap->built_epoch != slot.snap->library->index_epoch()) {
     // The shard mutated since the snapshot was built: the pruning stats
     // (presence set, video range) are stale and must be rebuilt before any
-    // prune decision trusts them. The engine survives — its cache entries
-    // are epoch-tagged and self-evict.
-    // Same data generation (same library, same lease) — only the derived
-    // pruning stats are rebuilt.
+    // prune decision trusts them. The engine survives — its cache keys
+    // carry the epoch, so entries of the old epoch are never looked up
+    // again. Same data generation (same library, same lease) — only the
+    // derived pruning stats are rebuilt.
     slot.snap =
         BuildSnapshot(slot.snap->library, slot.snap->engine, slot.snap->lease);
   }
@@ -225,15 +214,10 @@ ServingFrontend::TextSeed(const CombinedQuery& query, int64_t epoch,
   key += std::to_string(query.text_top_k);
   key += '|';
   key += std::to_string(epoch);
-  {
-    std::lock_guard<std::mutex> lock(seed_mu_);
-    auto it = seed_index_.find(key);
-    if (it != seed_index_.end()) {
-      seed_lru_.splice(seed_lru_.begin(), seed_lru_, it->second);
-      seed_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      *cached = true;
-      return it->second->second;
-    }
+  if (auto hit = seed_cache_.Get(key)) {
+    seed_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    *cached = true;
+    return *std::move(hit);
   }
   seed_cache_misses_.fetch_add(1, std::memory_order_relaxed);
   // Shard 0's interview index stands for every shard's — the modality is
@@ -243,71 +227,40 @@ ServingFrontend::TextSeed(const CombinedQuery& query, int64_t epoch,
                          snap->library->TextStage(query.text, query.text_top_k));
   auto seed =
       std::make_shared<const std::map<int64_t, double>>(std::move(stage));
-  std::lock_guard<std::mutex> lock(seed_mu_);
-  if (seed_index_.find(key) == seed_index_.end()) {
-    seed_lru_.emplace_front(key, seed);
-    seed_index_.emplace(std::move(key), seed_lru_.begin());
-    while (seed_lru_.size() > kTextSeedCacheCapacity) {
-      seed_index_.erase(seed_lru_.back().first);
-      seed_lru_.pop_back();
-    }
-  }
+  seed_cache_.Put(key, seed);
   return seed;
 }
 
-void ServingFrontend::WorkerLoop(Replica* replica) {
+void ServingFrontend::WorkerLoop(Worker* worker) {
   for (;;) {
     std::function<void()> job;
     {
-      std::unique_lock<std::mutex> lock(replica->mu);
-      replica->cv.wait(lock, [&] {
+      std::unique_lock<std::mutex> lock(worker->mu);
+      worker->cv.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||
                (!paused_.load(std::memory_order_acquire) &&
-                !replica->queue.empty());
+                !worker->queue.empty());
       });
-      if (replica->queue.empty()) {
+      if (worker->queue.empty()) {
         if (stop_.load(std::memory_order_acquire)) return;
         continue;  // paused wake-up with nothing runnable
       }
       // On stop the queue still drains — a queued job always runs, so no
       // Search caller is left waiting on a dropped job.
-      job = std::move(replica->queue.front());
-      replica->queue.pop_front();
+      job = std::move(worker->queue.front());
+      worker->queue.pop_front();
     }
     job();
-    replica->depth.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 bool ServingFrontend::Dispatch(size_t shard, std::function<void()> job) {
-  const size_t R = static_cast<size_t>(config_.replicas);
-  Replica* first = nullptr;
-  Replica* second = nullptr;
-  if (R == 1) {
-    first = replicas_[shard].get();
-  } else {
-    // Power of two choices over queued+running depth.
-    const uint64_t z =
-        SplitMix64(route_state_.fetch_add(1, std::memory_order_relaxed));
-    const size_t a = static_cast<size_t>(z % R);
-    const size_t b = (a + 1 + static_cast<size_t>((z >> 32) % (R - 1))) % R;
-    first = replicas_[shard * R + a].get();
-    second = replicas_[shard * R + b].get();
-    if (second->depth.load(std::memory_order_relaxed) <
-        first->depth.load(std::memory_order_relaxed)) {
-      std::swap(first, second);
-    }
-  }
-  for (Replica* replica : {first, second}) {
-    if (replica == nullptr) continue;
-    std::lock_guard<std::mutex> lock(replica->mu);
-    if (replica->queue.size() >= config_.queue_depth) continue;
-    replica->queue.push_back(std::move(job));
-    replica->depth.fetch_add(1, std::memory_order_relaxed);
-    replica->cv.notify_one();
-    return true;
-  }
-  return false;
+  Worker& worker = *workers_[shard];
+  std::lock_guard<std::mutex> lock(worker.mu);
+  if (worker.queue.size() >= config_.queue_depth) return false;
+  worker.queue.push_back(std::move(job));
+  worker.cv.notify_one();
+  return true;
 }
 
 void ServingFrontend::DrainDeferredLocked(ScatterState* st) {
@@ -329,7 +282,7 @@ void ServingFrontend::DrainDeferredLocked(ScatterState* st) {
     }
     ScatterState::Deferred next = std::move(st->deferred.front());
     st->deferred.pop_front();
-    // Replica mutexes are leaves; dispatching under st->mu is cycle-free.
+    // Worker mutexes are leaves; dispatching under st->mu is cycle-free.
     if (!Dispatch(next.shard, std::move(next.job))) {
       st->cancelled = true;
       st->has_error = true;
@@ -583,12 +536,7 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
   return std::move(st->best);
 }
 
-Status ServingFrontend::ReloadShard(size_t shard,
-                                    const DigitalLibrary* library) {
-  return ReloadShardRetiring(shard, library, nullptr);
-}
-
-Status ServingFrontend::ReloadShardRetiring(
+Status ServingFrontend::ReloadShard(
     size_t shard, const DigitalLibrary* library,
     std::shared_ptr<const void>* retired_lease) {
   if (shard >= slots_.size()) {
@@ -639,17 +587,17 @@ void ServingFrontend::PauseWorkersForTest() {
 
 void ServingFrontend::ResumeWorkers() {
   paused_.store(false, std::memory_order_release);
-  for (auto& replica : replicas_) {
-    std::lock_guard<std::mutex> lock(replica->mu);
-    replica->cv.notify_all();
+  for (auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    worker->cv.notify_all();
   }
 }
 
 size_t ServingFrontend::QueuedJobsForTest() const {
   size_t total = 0;
-  for (const auto& replica : replicas_) {
-    std::lock_guard<std::mutex> lock(replica->mu);
-    total += replica->queue.size();
+  for (const auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    total += worker->queue.size();
   }
   return total;
 }

@@ -38,44 +38,38 @@
 ///     them, when none can: the query is validated once before the
 ///     scatter, so a pruned shard never has an error left to report.
 ///
-/// Overload behavior: each shard has R replica workers with bounded
-/// queues; dispatch picks the replica with the smaller queue via
-/// power-of-two-choices, and a full queue sheds the whole query with
-/// Status::Unavailable instead of queueing unboundedly. A per-query
-/// deadline returns the partial merge accumulated so far (degraded, with
-/// the timed-out shard count in QueryStats) instead of stalling on a slow
-/// shard.
+/// Overload behavior: each shard has one worker thread draining a bounded
+/// queue, and a query that finds a target shard's queue full is shed
+/// whole with Status::Unavailable instead of queueing unboundedly. A
+/// per-query deadline returns the partial merge accumulated so far
+/// (degraded, with the timed-out shard count in QueryStats) instead of
+/// stalling on a slow shard. Each shard's worker answers through the
+/// shard's QueryEngine, its result cache.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "engine/digital_library.h"
 #include "engine/query_engine.h"
+#include "util/lru_cache.h"
 #include "util/status.h"
 
 namespace cobra::engine::serving {
 
 struct ServingConfig {
-  /// Worker replicas per shard; each owns one bounded queue + thread.
-  int replicas = 1;
-  /// Maximum queued (not yet running) queries per replica; a query that
-  /// finds every candidate replica of some shard full is shed.
+  /// Maximum queued (not yet running) queries per shard worker; a query
+  /// that finds some target shard's queue full is shed. Rounded up to 1.
   size_t queue_depth = 64;
-  /// Per-shard QueryEngine configuration (num_threads is forced to 1 — the
-  /// replicas are the workers).
-  QueryEngineConfig engine;
 };
 
 /// Per-query execution record.
@@ -119,7 +113,7 @@ class ServingFrontend {
   static Result<std::unique_ptr<ServingFrontend>> Create(
       std::vector<const DigitalLibrary*> shards, ServingConfig config);
 
-  /// Joins all replica workers after draining their queues.
+  /// Joins all shard workers after draining their queues.
   ~ServingFrontend();
 
   /// The global top-`top_n` of `query` under SceneHitLess (top_n == 0 =
@@ -137,20 +131,18 @@ class ServingFrontend {
   /// Swaps shard `shard` to `library` (e.g. a reopened durable shard) with
   /// a fresh per-shard engine + cache. Safe while queries are in flight:
   /// in-flight queries finish against the snapshot they acquired.
-  Status ReloadShard(size_t shard, const DigitalLibrary* library);
-
-  /// ReloadShard, plus the retired generation's lease: a token held
-  /// (through their snapshots) by every in-flight query still reading the
-  /// shard's *previous* library. Once the returned pointer is unique the
-  /// old library has no readers and the caller may mutate or destroy it —
-  /// the double-buffered ingest publish seam (engine/ingest).
-  Status ReloadShardRetiring(size_t shard, const DigitalLibrary* library,
-                             std::shared_ptr<const void>* retired_lease);
+  /// `retired_lease`, when non-null, receives the retired generation's
+  /// lease: a token held (through their snapshots) by every in-flight
+  /// query still reading the shard's *previous* library. Once that pointer
+  /// is unique the old library has no readers and the caller may mutate or
+  /// destroy it — the double-buffered ingest publish seam (engine/ingest).
+  Status ReloadShard(size_t shard, const DigitalLibrary* library,
+                     std::shared_ptr<const void>* retired_lease = nullptr);
 
   size_t num_shards() const { return slots_.size(); }
   ServingStats stats() const;
 
-  /// Test hooks: freeze/unfreeze every replica worker (queued jobs stay
+  /// Test hooks: freeze/unfreeze every shard worker (queued jobs stay
   /// queued), and the total currently queued job count.
   void PauseWorkersForTest();
   void ResumeWorkers();
@@ -175,8 +167,7 @@ class ServingFrontend {
     bool has_videos = false;
     int64_t built_epoch = -1;
     /// Liveness token of the library generation this snapshot reads
-    /// (shared by every snapshot of the generation; see
-    /// ReloadShardRetiring).
+    /// (shared by every snapshot of the generation; see ReloadShard).
     std::shared_ptr<const void> lease;
   };
 
@@ -185,13 +176,11 @@ class ServingFrontend {
     std::shared_ptr<const Snapshot> snap;
   };
 
-  /// One replica: a worker thread draining a bounded job queue. `depth`
-  /// counts queued + running jobs (the power-of-two-choices load signal).
-  struct Replica {
+  /// One shard's worker: a thread draining a bounded job queue.
+  struct Worker {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<std::function<void()>> queue;
-    std::atomic<size_t> depth{0};
     std::thread thread;
   };
 
@@ -221,9 +210,8 @@ class ServingFrontend {
       const std::vector<std::shared_ptr<const Snapshot>>& snaps,
       size_t* probes_skipped);
 
-  void WorkerLoop(Replica* replica);
-  /// Enqueues onto the less loaded of two sampled replicas of `shard`;
-  /// false = all candidates full (shed).
+  void WorkerLoop(Worker* worker);
+  /// Enqueues onto `shard`'s worker; false = its queue is full (shed).
   bool Dispatch(size_t shard, std::function<void()> job);
   /// With `st->mu` held: prunes deferred targets whose bound ranks after
   /// the merged Nth, then dispatches the first survivor (the cascade step
@@ -232,21 +220,13 @@ class ServingFrontend {
 
   ServingConfig config_;
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-  std::vector<std::unique_ptr<Replica>> replicas_;  ///< shard-major, R per shard
+  std::vector<std::unique_ptr<Worker>> workers_;  ///< one per shard
   std::atomic<bool> stop_{false};
   std::atomic<bool> paused_{false};
-  std::atomic<uint64_t> route_state_{0x9e3779b97f4a7c15ull};
 
-  std::mutex seed_mu_;
-  std::list<std::pair<std::string,
-                      std::shared_ptr<const std::map<int64_t, double>>>>
-      seed_lru_;
-  std::unordered_map<
-      std::string,
-      std::list<std::pair<
-          std::string,
-          std::shared_ptr<const std::map<int64_t, double>>>>::iterator>
-      seed_index_;
+  /// Text seeds keyed on (text, top_k, epoch).
+  util::LruCache<std::shared_ptr<const std::map<int64_t, double>>>
+      seed_cache_;
 
   std::atomic<int64_t> queries_{0};
   std::atomic<int64_t> shed_{0};

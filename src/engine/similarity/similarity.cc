@@ -359,7 +359,7 @@ std::vector<Neighbor> SignatureIndex::SearchSimilar(
 
   RowSet seen(512);
   std::vector<Neighbor> heap;
-  heap.reserve(k);
+  heap.reserve(std::min(k, num_records_));  // k may exceed the index
   const sk::SignatureKernelOps& ops = sk::Ops();
   // Per-radius staged scratch (band-major order — the same visit order as
   // the naive nested loop). One code chased at a time serializes a cache
@@ -486,7 +486,7 @@ std::vector<Neighbor> SignatureIndex::SearchSimilarExhaustive(
   const uint32_t threshold = config_.max_hamming;
 
   std::vector<Neighbor> heap;
-  heap.reserve(k);
+  heap.reserve(std::min(k, num_records_));  // k may exceed the index
   std::vector<uint32_t> distances;
   if (config_.signature_bits == 256) {
     // Fast path: SIMD batch Hamming straight over the record chunks (the

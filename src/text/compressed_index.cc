@@ -13,6 +13,7 @@ Result<CompressedInvertedIndex> CompressedInvertedIndex::FromIndex(
   COBRA_ASSIGN_OR_RETURN(std::vector<InvertedIndex::TermRange> ranges,
                          index.TermRanges());
   CompressedInvertedIndex out;
+  out.num_documents_ = static_cast<size_t>(index.num_documents());
   std::vector<DecodedPosting> postings;
   for (const InvertedIndex::TermRange& range : ranges) {
     postings.clear();
@@ -158,7 +159,8 @@ Result<std::vector<SearchHit>> CompressedInvertedIndex::SearchTopN(
   }
   local.terms_evaluated = static_cast<int64_t>(cursors.size());
 
-  std::vector<SearchHit> hits = internal::DaatMaxScoreTopN(&cursors, n, &local);
+  std::vector<SearchHit> hits =
+      internal::DaatMaxScoreTopN(&cursors, n, num_documents_, &local);
   if (stats) *stats = local;
   return hits;
 }

@@ -51,6 +51,7 @@ class CompressedInvertedIndex {
   };
   std::map<std::string, TermEntry> terms_;
   size_t total_postings_ = 0;
+  size_t num_documents_ = 0;
 };
 
 }  // namespace cobra::text

@@ -61,7 +61,9 @@ inline bool HeapWorstOnTop(const TopEntry& a, const TopEntry& b) {
 /// reordered (descending max contribution). Fills `stats` counters
 /// (postings_scanned, blocks_skipped, early_terminated) when non-null;
 /// terms_evaluated is the caller's concern. Returns the exact top `n` of
-/// the exhaustive union, ordered (score desc, doc id asc).
+/// the exhaustive union, ordered (score desc, doc id asc). `num_docs` is
+/// the index's document count: the heap never holds more, so an `n`
+/// beyond it (a legitimate "every match") reserves no more than that.
 ///
 /// `accept`, when non-null, is a sorted ascending deduplicated doc-id list:
 /// only those documents are scored, and the cursors jump over non-accepted
@@ -69,7 +71,8 @@ inline bool HeapWorstOnTop(const TopEntry& a, const TopEntry& b) {
 /// result is the exact top `n` of the accepted subset).
 template <typename TermCursor>
 std::vector<SearchHit> DaatMaxScoreTopN(std::vector<TermCursor>* terms_in,
-                                        size_t n, SearchStats* stats,
+                                        size_t n, size_t num_docs,
+                                        SearchStats* stats,
                                         const std::vector<int64_t>* accept =
                                             nullptr) {
   std::vector<TermCursor>& terms = *terms_in;
@@ -116,7 +119,7 @@ std::vector<SearchHit> DaatMaxScoreTopN(std::vector<TermCursor>* terms_in,
   }
 
   std::vector<TopEntry> heap;
-  heap.reserve(n);
+  heap.reserve(std::min(n, num_docs));
   const auto heap_full = [&] { return heap.size() >= n; };
   // True when a candidate with final-score upper bound `ub` provably
   // cannot displace the heap floor. Exact on ties: a bound equal to the

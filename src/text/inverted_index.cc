@@ -328,7 +328,9 @@ Result<std::vector<SearchHit>> InvertedIndex::SearchTopNImpl(
     cursors.push_back(cursor);
   }
   std::vector<SearchHit> hits =
-      internal::DaatMaxScoreTopN(&cursors, n, &local, accept);
+      internal::DaatMaxScoreTopN(&cursors, n,
+                                 static_cast<size_t>(num_documents()), &local,
+                                 accept);
   if (stats) *stats = local;
   return hits;
 }

@@ -358,6 +358,12 @@ TEST(QueryLanguageTest, Errors) {
   EXPECT_FALSE(ParseQuery("galaxy.size = big").ok());    // unknown subject
   EXPECT_FALSE(ParseQuery("player.hand = left AND").ok());
   EXPECT_FALSE(ParseQuery("player.hand ~ left").ok());
+  // Integer literals outside int64 are errors, never wrapped values.
+  EXPECT_TRUE(ParseQuery("player.ranking <= 99999999999999999999")
+                  .status()
+                  .IsParseError());
+  EXPECT_TRUE(
+      ParseQuery("won.year = -99999999999999999999").status().IsParseError());
 }
 
 TEST(QueryLanguageTest, RoundTripFormat) {

@@ -747,7 +747,6 @@ TEST(ShardedIngestTest, QueriesRacingPublishesStayWellFormed) {
   ShardedIngestSink::Options options;
   options.num_shards = 2;
   options.finalize_seed_text = false;
-  options.serving.replicas = 2;
   auto sink = ShardedIngestSink::Create(fx.seed, options).TakeValue();
 
   // Hammer the frontend with content-only queries (the text index is not

@@ -8,6 +8,9 @@
 ///     text scores) the frontend's top-N equals the fixed-order oracle's
 ///     answer truncated to N, for event, event + text and event + similar
 ///     queries;
+///   * counts beyond the index (similar_k, text_top_k up to SIZE_MAX, also
+///     written in the query language) answer exactly like counts equal to
+///     it, through the library and the frontend at 1, 2 and 7 shards;
 ///   * the frontend text seed never changes results (seeded vs unseeded
 ///     evaluation on one library, through the planner and the fixed-order
 ///     oracle);
@@ -27,6 +30,7 @@
 #include <array>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -37,6 +41,7 @@
 #include "core/video_description.h"
 #include "engine/digital_library.h"
 #include "engine/durable_library.h"
+#include "engine/query_language.h"
 #include "engine/serving/partition.h"
 #include "engine/serving/serving.h"
 #include "oracles/fixed_order.h"
@@ -344,9 +349,8 @@ TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
   }
   for (size_t num_shards : {1u, 2u, 7u}) {
     auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
-    ServingConfig config;
-    config.replicas = 2;
-    auto frontend = ServingFrontend::Create(Views(shards), config).TakeValue();
+    auto frontend =
+        ServingFrontend::Create(Views(shards), ServingConfig{}).TakeValue();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       for (size_t top_n : {size_t{3}, size_t{10}, size_t{0}}) {
         auto expected = oracle->Search(queries[qi]);
@@ -471,14 +475,13 @@ TEST(ServingFrontendTest, OverloadShedsWithUnavailable) {
   const CorpusParts parts = MakeParts();
   auto shards = BuildShardLibraries(parts, 2).TakeValue();
   ServingConfig config;
-  config.replicas = 1;
   config.queue_depth = 1;
   auto frontend = ServingFrontend::Create(Views(shards), config).TakeValue();
   frontend->PauseWorkersForTest();
   CombinedQuery query;
   query.event = "net_play";
-  // Client A enqueues onto the best-bound shard's only replica (paused
-  // workers never drain it; the other shard is deferred in the cascade)...
+  // Client A enqueues onto the best-bound shard's worker (paused workers
+  // never drain it; the other shard is deferred in the cascade)...
   std::thread client_a([&] {
     auto held = frontend->Search(query, 5);
     EXPECT_TRUE(held.ok()) << held.status().ToString();
@@ -486,7 +489,7 @@ TEST(ServingFrontendTest, OverloadShedsWithUnavailable) {
   while (frontend->QueuedJobsForTest() < 1) {
     std::this_thread::yield();
   }
-  // ... so client B targets the same shard first, finds its replica full,
+  // ... so client B targets the same shard first, finds its queue full,
   // and is shed, not queued.
   auto shed = frontend->Search(query, 5);
   ASSERT_FALSE(shed.ok());
@@ -580,9 +583,8 @@ TEST(ServingFrontendTest, TopNPushdownMatchesFixedOrderOracleOnTies) {
 
   for (size_t num_shards : {size_t{1}, size_t{2}, size_t{7}}) {
     auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
-    ServingConfig config;
-    config.replicas = 2;
-    auto frontend = ServingFrontend::Create(Views(shards), config).TakeValue();
+    auto frontend =
+        ServingFrontend::Create(Views(shards), ServingConfig{}).TakeValue();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       auto full = SearchFixedOrder(*oracle, queries[qi]);
       for (size_t top_n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
@@ -600,6 +602,75 @@ TEST(ServingFrontendTest, TopNPushdownMatchesFixedOrderOracleOnTies) {
           continue;
         }
         ExpectBitIdentical(Truncate(*full, top_n), *actual, label);
+      }
+    }
+  }
+}
+
+/// A k beyond the index is a legitimate "all neighbours" request, not an
+/// error: it must answer exactly like a k equal to the record (or, for
+/// text, document) count, and never allocate by the count.
+TEST(ServingFrontendTest, CountsBeyondTheIndexAnswerLikeCountsEqualToIt) {
+  int64_t shared = -1;
+  const CorpusParts parts = MakeTiedParts(&shared);
+  auto oracle = BuildLibrary(parts).TakeValue();
+  const size_t records = oracle->signatures().num_records();
+  const size_t docs = static_cast<size_t>(oracle->interviews().num_documents());
+  constexpr size_t kHuge = 1000000000000000000;  // 10^18
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  const int64_t probe = parts.videos.front().video_id();
+
+  // (extreme, twin) pairs: the twin holds the count equal to the index.
+  std::vector<std::pair<CombinedQuery, CombinedQuery>> pairs;
+  for (size_t count : {kHuge, kMax}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      CombinedQuery extreme, twin;
+      if (shape != 3) {
+        extreme.similar_video = twin.similar_video = probe;
+        extreme.similar_frame = twin.similar_frame = 17000;
+        extreme.similar_k = count;
+        twin.similar_k = records;
+      }
+      if (shape == 1 || shape == 2) {
+        extreme.event = twin.event = "net_play";
+      }
+      if (shape >= 2) {
+        extreme.text = twin.text = "champion title";
+        extreme.text_top_k = count;
+        twin.text_top_k = docs;
+      }
+      pairs.emplace_back(std::move(extreme), std::move(twin));
+    }
+  }
+  auto parsed = ParseQuery("similar_to = " + std::to_string(probe) +
+                           ":17000 AND similar_to.k = 1000000000000000000");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->similar_k, kHuge);
+  pairs.emplace_back(*parsed, pairs.front().second);
+
+  for (size_t pi = 0; pi < pairs.size(); ++pi) {
+    const auto& [extreme, twin] = pairs[pi];
+    auto expected = oracle->Search(twin);
+    ASSERT_TRUE(expected.ok()) << pi << " " << expected.status().ToString();
+    ASSERT_FALSE(expected->empty()) << "pair " << pi;
+    auto actual = oracle->Search(extreme);
+    ASSERT_TRUE(actual.ok()) << pi << " " << actual.status().ToString();
+    ExpectBitIdentical(*expected, *actual, "library pair " + std::to_string(pi));
+  }
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{7}}) {
+    auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
+    auto frontend =
+        ServingFrontend::Create(Views(shards), ServingConfig{}).TakeValue();
+    for (size_t pi = 0; pi < pairs.size(); ++pi) {
+      const auto& [extreme, twin] = pairs[pi];
+      const auto expected = oracle->Search(twin).TakeValue();
+      for (size_t top_n : {size_t{0}, size_t{3}}) {
+        const std::string label = "shards=" + std::to_string(num_shards) +
+                                  " pair=" + std::to_string(pi) +
+                                  " n=" + std::to_string(top_n);
+        auto actual = frontend->Search(extreme, top_n);
+        ASSERT_TRUE(actual.ok()) << label << " " << actual.status().ToString();
+        ExpectBitIdentical(Truncate(expected, top_n), *actual, label);
       }
     }
   }
@@ -649,9 +720,7 @@ TEST(ServingFrontendTest, QueriesRaceCompactionAndReload) {
   }
   std::vector<const DigitalLibrary*> views;
   for (const auto& durable : durables) views.push_back(&durable->library());
-  ServingConfig config;
-  config.replicas = 2;
-  auto frontend = ServingFrontend::Create(views, config).TakeValue();
+  auto frontend = ServingFrontend::Create(views, ServingConfig{}).TakeValue();
 
   const auto queries = SweepQueries();
   std::vector<std::thread> clients;

@@ -6,8 +6,10 @@
 ///     across band counts, signature prefixes, k values and SIMD tiers
 ///     (property sweep), and FindNearDuplicates equals a brute-force pair
 ///     scan;
-///   * the similar_to stage end to end: query-language parsing, planner vs
-///     fixed-order bit-identity, probe-not-found error parity;
+///   * the similar_to stage end to end: query-language parsing (integers
+///     beyond int64 are parse errors), planner vs fixed-order
+///     bit-identity (counts far beyond the index included),
+///     probe-not-found error parity;
 ///   * serving shard invariance: 1, 2 and 7 shards answer similar_to
 ///     queries bit-identically to the unsharded oracle through the
 ///     frontend's global similar seed;
@@ -24,6 +26,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -321,6 +324,18 @@ TEST(QueryLanguageTest, ParsesSimilarToClause) {
   EXPECT_FALSE(ParseQuery("similar_to = a:b").ok());       // not numeric
   EXPECT_FALSE(ParseQuery("similar_to.k = 3").ok());       // k without probe
   EXPECT_FALSE(ParseQuery("similar_to = 1:2 AND similar_to.k = 0").ok());
+  // A count beyond the index parses (it asks for every neighbour); an
+  // integer beyond int64 is an error, never a wrapped value.
+  EXPECT_EQ(ParseQuery("similar_to = 1:2 AND similar_to.k = 9223372036854775807")
+                ->similar_k,
+            size_t{9223372036854775807});
+  EXPECT_TRUE(
+      ParseQuery("similar_to = 1:2 AND similar_to.k = 99999999999999999999")
+          .status()
+          .IsParseError());
+  EXPECT_TRUE(ParseQuery("similar_to = 99999999999999999999:0")
+                  .status()
+                  .IsParseError());
 }
 
 // ---------------------------------------------------------------------------
@@ -408,6 +423,16 @@ std::vector<CombinedQuery> SimilarQueries(const LibraryFixture& fixture) {
     if (i % 6 == 5) query.similar_k = 40;  // more than the neighbor count
     queries.push_back(std::move(query));
   }
+  // Counts far beyond the index ask for every neighbour (and every text
+  // match): they must neither allocate by the count nor wrap k + 1.
+  CombinedQuery every = queries.front();
+  every.similar_k = 1000000000000000000;  // 10^18
+  queries.push_back(every);
+  every.similar_k = std::numeric_limits<size_t>::max();
+  every.text = "champion title";
+  every.text_top_k = 1000000000000000000;
+  every.event = "service";
+  queries.push_back(every);
   // Probe resolution failures: unknown video, frame past every shot.
   CombinedQuery missing;
   missing.similar_video = 999999;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/geometry.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -362,6 +363,33 @@ TEST(StringsTest, JoinAndFormat) {
   EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(JoinStrings({}, ","), "");
   EXPECT_EQ(StringFormat("%d-%s", 7, "x"), "7-x");
+}
+
+// ---------- LruCache ----------
+
+TEST(LruCacheTest, EvictsAtCapacity) {
+  util::LruCache<int> cache(1);
+  cache.Put("a", 1);
+  EXPECT_EQ(cache.Get("a"), 1);
+  cache.Put("b", 2);  // evicts a
+  EXPECT_FALSE(cache.Get("a").has_value());
+  EXPECT_EQ(cache.Get("b"), 2);
+  cache.Put("a", 3);  // evicts b
+  EXPECT_FALSE(cache.Get("b").has_value());
+  EXPECT_EQ(cache.Get("a"), 3);
+  cache.Put("a", 4);  // replaces in place, evicts nothing
+  EXPECT_EQ(cache.Get("a"), 4);
+}
+
+TEST(LruCacheTest, GetMakesAnEntryMostRecent) {
+  util::LruCache<std::string> cache(2);
+  cache.Put("a", "1");
+  cache.Put("b", "2");
+  EXPECT_EQ(cache.Get("a"), "1");  // b is now the least recent
+  cache.Put("c", "3");
+  EXPECT_FALSE(cache.Get("b").has_value());
+  EXPECT_EQ(cache.Get("a"), "1");
+  EXPECT_EQ(cache.Get("c"), "3");
 }
 
 }  // namespace
